@@ -54,8 +54,9 @@ use counting::{
 };
 use dataset::{ClassLabel, CloudClassifier};
 use fleet::{
-    encode, AgentConfig, Aggregator, AggregatorConfig, ClusterObservation, Connector,
-    LoopbackConfig, LoopbackHub, Message, PoleAgent, PoleReport, Transport, TrustState,
+    encode, read_capture, replay, AgentConfig, Aggregator, AggregatorConfig, CaptureWriter,
+    ClusterObservation, Connector, FusionConfig, LoopbackConfig, LoopbackHub, Message, PoleAgent,
+    PoleReport, Transport, TrustState,
 };
 use geom::Point3;
 use lidar::PointCloud;
@@ -250,6 +251,39 @@ fn capture_for(i: usize, n: usize) -> PointCloud {
     PointCloud::new(pts)
 }
 
+/// A pole agent running the supervised height-rule counter, dialling
+/// `hub` over `link`.
+fn height_rule_agent(
+    pole_id: u32,
+    hub: &LoopbackHub,
+    link: LoopbackConfig,
+    batch: usize,
+    telemetry_every: u64,
+) -> PoleAgent<HeightRule> {
+    let counter = SupervisedCounter::new(
+        CrowdCounter::new(
+            HeightRule,
+            CounterConfig {
+                min_cluster_points: 8,
+                ..CounterConfig::default()
+            },
+        ),
+        SupervisorConfig {
+            deadline_ms: 500.0,
+            adaptive: AdaptiveConfig {
+                fallback_eps: 0.5,
+                min_eps: 0.35,
+                ..AdaptiveConfig::default()
+            },
+            ..SupervisorConfig::default()
+        },
+    );
+    let mut cfg = AgentConfig::for_pole(pole_id);
+    cfg.batch_frames = batch;
+    cfg.telemetry_every_frames = telemetry_every;
+    PoleAgent::new(counter, Box::new(hub.connector(link)), cfg)
+}
+
 struct PoleIngest {
     pole_id: u32,
     count: u64,
@@ -310,52 +344,31 @@ fn run_cell(
 
     let mut agents: Vec<PoleAgent<HeightRule>> = (0..poles)
         .map(|i| {
-            let counter = SupervisedCounter::new(
-                CrowdCounter::new(
-                    HeightRule,
-                    CounterConfig {
-                        min_cluster_points: 8,
-                        ..CounterConfig::default()
-                    },
-                ),
-                SupervisorConfig {
-                    deadline_ms: 500.0,
-                    adaptive: AdaptiveConfig {
-                        fallback_eps: 0.5,
-                        min_eps: 0.35,
-                        ..AdaptiveConfig::default()
-                    },
-                    ..SupervisorConfig::default()
-                },
-            );
             let link =
                 LoopbackConfig::lossy(loss, loss / 2.0, seed ^ (i as u64).wrapping_mul(0x9E37));
-            let mut cfg = AgentConfig::for_pole(i as u32);
-            cfg.batch_frames = batch;
-            cfg.telemetry_every_frames = telemetry_every;
-            PoleAgent::new(counter, Box::new(hub.connector(link)), cfg)
+            height_rule_agent(i as u32, &hub, link, batch, telemetry_every)
         })
         .collect();
 
     let wire_base = obs::telemetry_snapshot();
     let captures: Vec<PointCloud> = (0..poles).map(|i| capture_for(i, poles)).collect();
+    let reactor = aggregator.spawn_reactor();
     let t0 = Instant::now();
-    let mut readers = Vec::new();
     for _ in 0..frames {
         for (agent, capture) in agents.iter_mut().zip(&captures) {
             agent.step(capture);
         }
         while let Ok(server) = hub.accept(Duration::ZERO) {
-            readers.push(aggregator.spawn_connection(Box::new(server)));
+            aggregator.add_connection(Box::new(server));
         }
     }
     let step_wall_s = t0.elapsed().as_secs_f64();
     while let Ok(server) = hub.accept(Duration::from_millis(5)) {
-        readers.push(aggregator.spawn_connection(Box::new(server)));
+        aggregator.add_connection(Box::new(server));
     }
-    // Let the reader threads drain: poll until the ingest counters go
-    // quiet. `frames` is a multiple of every batch size, so no agent
-    // is sitting on a partial batch.
+    // Let the reactor drain: poll until the ingest counters go quiet.
+    // `frames` is a multiple of every batch size, so no agent is
+    // sitting on a partial batch.
     let drain_deadline = Instant::now() + Duration::from_secs(2);
     let mut last = u64::MAX;
     loop {
@@ -379,9 +392,7 @@ fn run_cell(
         agent.shutdown();
     }
     aggregator.stop();
-    for r in readers {
-        let _ = r.join();
-    }
+    reactor.join();
 
     let wire = obs::telemetry_snapshot().delta_since(&wire_base);
     let stats = aggregator.stats();
@@ -446,7 +457,7 @@ fn run_cell(
 /// on a lossless cell. A throwaway warmup pass primes caches and the
 /// allocator, then five (on, off) arm pairs run back to back; the
 /// reported overhead is the *minimum paired ratio*. The stepping loop
-/// shares the machine with the aggregator's reader threads, so any
+/// shares the machine with the aggregator's reactor threads, so any
 /// single arm can eat a multi-millisecond scheduler excursion; a
 /// paired minimum only needs one clean pair to upper-bound the true
 /// cost, where comparing pooled minima let one noisy arm poison the
@@ -667,34 +678,13 @@ fn run_arm(
     let adversarial_links = !attacks.is_empty();
     let mut agents: Vec<PoleAgent<HeightRule>> = (0..honest)
         .map(|i| {
-            let counter = SupervisedCounter::new(
-                CrowdCounter::new(
-                    HeightRule,
-                    CounterConfig {
-                        min_cluster_points: 8,
-                        ..CounterConfig::default()
-                    },
-                ),
-                SupervisorConfig {
-                    deadline_ms: 500.0,
-                    adaptive: AdaptiveConfig {
-                        fallback_eps: 0.5,
-                        min_eps: 0.35,
-                        ..AdaptiveConfig::default()
-                    },
-                    ..SupervisorConfig::default()
-                },
-            );
             let link_seed = seed ^ (i as u64).wrapping_mul(0x9E37);
             let link = if adversarial_links {
                 LoopbackConfig::adversarial(0.0, 0.1, 0.4, 0.4, link_seed)
             } else {
                 LoopbackConfig::reliable()
             };
-            let mut cfg = AgentConfig::for_pole(i as u32);
-            cfg.batch_frames = 1;
-            cfg.telemetry_every_frames = TELEMETRY_EVERY;
-            PoleAgent::new(counter, Box::new(hub.connector(link)), cfg)
+            height_rule_agent(i as u32, &hub, link, 1, TELEMETRY_EVERY)
         })
         .collect();
     let mut mals: Vec<Malicious> = attacks
@@ -707,7 +697,7 @@ fn run_arm(
     // only between honest neighbours, so the clean fused occupancy is
     // exactly `2 * honest - 1` and independent of the malicious poles.
     let captures: Vec<PointCloud> = (0..honest).map(|i| capture_for(i, honest)).collect();
-    let mut readers = Vec::new();
+    let reactor = aggregator.spawn_reactor();
     let mut impersonated = false;
     for fi in 0..frames {
         for (agent, capture) in agents.iter_mut().zip(&captures) {
@@ -717,7 +707,7 @@ fn run_arm(
             m.step();
         }
         while let Ok(server) = hub.accept(Duration::ZERO) {
-            readers.push(aggregator.spawn_connection(Box::new(server)));
+            aggregator.add_connection(Box::new(server));
         }
         if impersonate && !impersonated && fi >= frames / 2 {
             // Wait until honest pole 0's own connection owns its slot,
@@ -749,7 +739,7 @@ fn run_arm(
         }
     }
     while let Ok(server) = hub.accept(Duration::from_millis(5)) {
-        readers.push(aggregator.spawn_connection(Box::new(server)));
+        aggregator.add_connection(Box::new(server));
     }
     let drain_deadline = Instant::now() + Duration::from_secs(2);
     let mut last = u64::MAX;
@@ -769,9 +759,7 @@ fn run_arm(
         agent.shutdown();
     }
     aggregator.stop();
-    for r in readers {
-        let _ = r.join();
-    }
+    reactor.join();
     let delta = obs::telemetry_snapshot().delta_since(&base);
 
     let honest_all_trusted = trust
@@ -810,29 +798,10 @@ fn run_arm(
 }
 
 // ---------------------------------------------------------------------------
-// Ingest arm: the reactor ingest plane against the historical
-// reader-thread-per-connection path, fed pre-encoded frames so frame
-// decode + sentinel + fusion are the only work in the lane.
-
-/// How a campus's connections reach fused state.
-#[derive(Clone, Copy)]
-enum IngestPath {
-    /// One reader thread per connection (the historical path).
-    Threaded,
-    /// Readiness-driven reactor with this many fusion workers
-    /// (0 = auto-size from the host).
-    Reactor(usize),
-}
-
-impl IngestPath {
-    fn name(self) -> String {
-        match self {
-            IngestPath::Threaded => "threaded".into(),
-            IngestPath::Reactor(0) => "reactor".into(),
-            IngestPath::Reactor(w) => format!("reactor-w{w}"),
-        }
-    }
-}
+// Ingest arm: the reactor ingest plane on its own, fed pre-encoded
+// frames so frame decode + sentinel + fusion are the only work in the
+// lane, with replay of the reactor's own capture as the determinism
+// oracle.
 
 /// A corridor-truth report for pole `pole_id` of `n`: its own person
 /// plus the seam people shared with each neighbour, so the fused
@@ -869,35 +838,46 @@ fn ingest_report(pole_id: u32, seq: u64, n: usize, capture_ms: Option<f64>) -> M
     })
 }
 
-/// Feeds an identical pre-loaded stream through the chosen ingest path
-/// on a pinned manual clock and returns the fused snapshot. The
-/// inflight budget is raised past any possible backlog: the two paths
-/// shed under pressure in different orders, and a determinism
-/// comparison must never reach either shed policy.
-fn ingest_deterministic(poles: usize, reports: u64, path: IngestPath) -> fleet::CampusSnapshot {
+/// Dials one reliable loopback connection per pole, each opening
+/// with its pole's `Hello`.
+fn dial(hub: &LoopbackHub, poles: usize) -> Vec<Box<dyn Transport>> {
+    (0..poles as u32)
+        .map(|pole_id| {
+            let mut c = hub
+                .connector(LoopbackConfig::reliable())
+                .connect()
+                .expect("loopback dial");
+            c.send(&encode(&Message::Hello { pole_id })).expect("hello");
+            c
+        })
+        .collect()
+}
+
+/// Feeds a pre-loaded stream through a capturing reactor with
+/// `workers` fusion workers on a pinned manual clock. Returns the
+/// fused snapshot and whether it is bit-identical to a single-core
+/// replay of the reactor's own capture.
+fn ingest_deterministic(
+    poles: usize,
+    reports: u64,
+    workers: usize,
+) -> (fleet::CampusSnapshot, bool) {
     let clock = ManualClock::new();
     let registry = PoleRegistry::from_poses(corridor_layout(poles, SPACING_M));
     let cfg = AggregatorConfig {
-        inflight_budget: 1 << 20,
-        reactor_workers: match path {
-            IngestPath::Reactor(w) => w,
-            IngestPath::Threaded => 0,
-        },
+        reactor_workers: workers,
         ..Default::default()
     };
-    let aggregator =
-        Aggregator::with_clock(registry, WalkwayConfig::default(), cfg, clock.handle());
+    let (writer, captured) = CaptureWriter::in_memory();
+    let aggregator = Aggregator::with_clock(
+        registry.clone(),
+        WalkwayConfig::default(),
+        cfg,
+        clock.handle(),
+    )
+    .with_capture(writer);
     let hub = LoopbackHub::new();
-    let mut clients = Vec::new();
-    for i in 0..poles as u32 {
-        let mut c = hub
-            .connector(LoopbackConfig::reliable())
-            .connect()
-            .expect("loopback dial");
-        c.send(&encode(&Message::Hello { pole_id: i }))
-            .expect("hello");
-        clients.push(c);
-    }
+    let mut clients = dial(&hub, poles);
     for seq in 1..=reports {
         for (i, c) in clients.iter_mut().enumerate() {
             c.send(&encode(&ingest_report(i as u32, seq, poles, None)))
@@ -907,41 +887,34 @@ fn ingest_deterministic(poles: usize, reports: u64, path: IngestPath) -> fleet::
     for c in &mut clients {
         c.close();
     }
-    match path {
-        IngestPath::Threaded => {
-            let mut readers = Vec::new();
-            while let Ok(server) = hub.accept(Duration::ZERO) {
-                readers.push(aggregator.spawn_connection(Box::new(server)));
-            }
-            assert_eq!(readers.len(), poles, "every pole dialled in");
-            // Clients are closed: each reader exits once its queue is
-            // dry, so the joins double as the drain barrier.
-            for r in readers {
-                let _ = r.join();
-            }
-            aggregator.stop();
-        }
-        IngestPath::Reactor(_) => {
-            let handle = aggregator.spawn_reactor();
-            let mut adopted = 0;
-            while let Ok(server) = hub.accept(Duration::ZERO) {
-                aggregator.add_connection(Box::new(server));
-                adopted += 1;
-            }
-            assert_eq!(adopted, poles, "every pole dialled in");
-            // The reactor's shutdown path drains every adopted
-            // connection before the workers retire, so join is the
-            // drain barrier here too.
-            aggregator.stop();
-            handle.join();
-        }
+    let handle = aggregator.spawn_reactor();
+    let mut adopted = 0;
+    while let Ok(server) = hub.accept(Duration::ZERO) {
+        aggregator.add_connection(Box::new(server));
+        adopted += 1;
     }
-    aggregator.snapshot()
+    assert_eq!(adopted, poles, "every pole dialled in");
+    // The reactor's shutdown path drains every adopted connection
+    // before the workers retire and then flushes the capture, so join
+    // is the drain barrier.
+    aggregator.stop();
+    handle.join();
+    let live = aggregator.snapshot();
+    let records = read_capture(&captured.lock()).expect("own capture parses");
+    let replayed = replay(
+        &records,
+        registry,
+        WalkwayConfig::default(),
+        FusionConfig::default(),
+        1,
+        Duration::ZERO,
+    );
+    let identical = replayed.last().map(|r| r.to_json()) == Some(live.to_json());
+    (live, identical)
 }
 
 struct IngestCell {
     poles: usize,
-    path: String,
     sent: u64,
     fused: u64,
     shed: u64,
@@ -956,41 +929,21 @@ struct IngestCell {
 }
 
 /// Firehoses `reports` live-stamped reports per pole through the
-/// chosen ingest path and measures wall-to-fused throughput plus the
-/// campus capture→fuse latency histogram.
-fn ingest_perf(poles: usize, reports: u64, path: IngestPath) -> IngestCell {
+/// reactor and measures wall-to-fused throughput plus the campus
+/// capture→fuse latency histogram.
+fn ingest_perf(poles: usize, reports: u64) -> IngestCell {
     let registry = PoleRegistry::from_poses(corridor_layout(poles, SPACING_M));
-    let mut cfg = AggregatorConfig::default();
-    if let IngestPath::Reactor(w) = path {
-        cfg.reactor_workers = w;
-    }
-    let aggregator = Aggregator::new(registry, WalkwayConfig::default(), cfg);
+    let aggregator = Aggregator::new(
+        registry,
+        WalkwayConfig::default(),
+        AggregatorConfig::default(),
+    );
     let hub = LoopbackHub::new();
     let base = obs::telemetry_snapshot();
-    let mut clients = Vec::new();
-    for i in 0..poles as u32 {
-        let mut c = hub
-            .connector(LoopbackConfig::reliable())
-            .connect()
-            .expect("loopback dial");
-        c.send(&encode(&Message::Hello { pole_id: i }))
-            .expect("hello");
-        clients.push(c);
-    }
-    let mut readers = Vec::new();
-    let mut handle = None;
-    match path {
-        IngestPath::Threaded => {
-            while let Ok(server) = hub.accept(Duration::ZERO) {
-                readers.push(aggregator.spawn_connection(Box::new(server)));
-            }
-        }
-        IngestPath::Reactor(_) => {
-            handle = Some(aggregator.spawn_reactor());
-            while let Ok(server) = hub.accept(Duration::ZERO) {
-                aggregator.add_connection(Box::new(server));
-            }
-        }
+    let clients = dial(&hub, poles);
+    let handle = aggregator.spawn_reactor();
+    while let Ok(server) = hub.accept(Duration::ZERO) {
+        aggregator.add_connection(Box::new(server));
     }
     // Up to 8 sender threads, each encoding its poles' reports on the
     // fly with a live capture stamp (SystemClock shares one process
@@ -1021,22 +974,10 @@ fn ingest_perf(poles: usize, reports: u64, path: IngestPath) -> IngestCell {
     for s in senders {
         let _ = s.join();
     }
-    // Drain barrier, as in the determinism arm: reader joins on the
-    // threaded path, reactor shutdown + join on the reactor path.
-    match path {
-        IngestPath::Threaded => {
-            for r in readers.drain(..) {
-                let _ = r.join();
-            }
-            aggregator.stop();
-        }
-        IngestPath::Reactor(_) => {
-            aggregator.stop();
-            if let Some(h) = handle.take() {
-                h.join();
-            }
-        }
-    }
+    // Drain barrier, as in the determinism arm: reactor shutdown +
+    // join.
+    aggregator.stop();
+    handle.join();
     let wall_s = t0.elapsed().as_secs_f64();
     let snap = aggregator.snapshot();
     let campus = aggregator.health().campus_ingest.summary();
@@ -1044,7 +985,6 @@ fn ingest_perf(poles: usize, reports: u64, path: IngestPath) -> IngestCell {
     let stats = aggregator.stats();
     IngestCell {
         poles,
-        path: path.name(),
         sent: poles as u64 * reports,
         fused: stats.reports,
         shed: delta.counter("fleet.agg.inflight_dropped"),
@@ -1119,7 +1059,7 @@ fn json_f64(v: f64) -> String {
 fn main() {
     let args = parse_args();
     obs::enable(true);
-    // Count every panic anywhere in the process — a reader thread that
+    // Count every panic anywhere in the process — a reactor thread that
     // dies on hostile input must fail the adversarial gate even though
     // `join` would surface it only as a closed connection.
     let default_hook = std::panic::take_hook();
@@ -1331,10 +1271,10 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Ingest arm: the event-driven reactor against the historical
-    // reader-thread-per-connection path, on pre-encoded frames so the
-    // counting pipeline stays out of the lane. Determinism cells pin a
-    // manual clock and bit-compare fused snapshots; perf cells firehose
+    // Ingest arm: the event-driven reactor on pre-encoded frames, so
+    // the counting pipeline stays out of the lane. Determinism cells
+    // pin a manual clock and bit-compare the fused snapshot with a
+    // replay of the reactor's own capture; perf cells firehose
     // live-stamped reports for throughput and capture→fuse latency.
     let det_reports: u64 = if args.smoke { 8 } else { 16 };
     let perf_reports: u64 = if args.smoke { 40 } else { 100 };
@@ -1344,60 +1284,45 @@ fn main() {
     );
     let mut ingest_cells: Vec<IngestCell> = Vec::new();
     for &poles in &args.ingest_poles {
-        let golden = ingest_deterministic(poles, det_reports, IngestPath::Threaded);
-        let golden_json = golden.to_json();
-        let mut identical = true;
-        for workers in [1usize, 4] {
-            let snap = ingest_deterministic(poles, det_reports, IngestPath::Reactor(workers));
-            let ok = snap.to_json() == golden_json;
-            identical &= ok;
-            println!("  {poles} poles, reactor w{workers}: bit-identical to threaded: {ok}");
-        }
         let truth = (2 * poles - 1) as u32;
-        if !identical || golden.occupancy != truth {
+        let (mut identical, mut exact) = (true, true);
+        for workers in [1usize, 4] {
+            let (snap, ok) = ingest_deterministic(poles, det_reports, workers);
+            identical &= ok;
+            exact &= snap.occupancy == truth;
+            println!(
+                "  {poles} poles, reactor w{workers}: occupancy {} ({truth}), bit-identical to its capture's replay: {ok}",
+                snap.occupancy
+            );
+        }
+        if !identical || !exact {
+            eprintln!("  ^ FAIL: ingest determinism at {poles} poles");
+            failures += 1;
+        }
+        let mut cell = ingest_perf(poles, perf_reports);
+        cell.bit_identical = Some(identical);
+        println!(
+            "  {:>5} poles | reactor   | {:>7.3} s | {:>8.0} rps | shed {:>6} | p99 {:>7.2} ms | occ {} ({})",
+            cell.poles,
+            cell.wall_s,
+            cell.throughput_rps,
+            cell.shed,
+            cell.p99_ms,
+            cell.occupancy,
+            cell.expected,
+        );
+        if cell.occupancy != cell.expected {
+            eprintln!("  ^ FAIL: ingest perf cell mis-fused the campus");
+            failures += 1;
+        }
+        if cell.poles == 256 && cell.throughput_rps < 10_000.0 {
             eprintln!(
-                "  ^ FAIL: ingest determinism at {poles} poles (occupancy {} vs truth {truth})",
-                golden.occupancy
+                "  ^ FAIL: reactor ingest {:.0} rps at 256 poles is below the 10k gate",
+                cell.throughput_rps
             );
             failures += 1;
         }
-        // Perf cells. The threaded arm needs one OS thread per pole,
-        // so it only runs at campus sizes where that is sane; the
-        // reactor runs everywhere — that asymmetry is the point.
-        let mut paths = vec![IngestPath::Reactor(0)];
-        if poles <= 256 {
-            paths.insert(0, IngestPath::Threaded);
-        }
-        for path in paths {
-            let mut cell = ingest_perf(poles, perf_reports, path);
-            cell.bit_identical = Some(identical);
-            println!(
-                "  {:>5} poles | {:<9} | {:>7.3} s | {:>8.0} rps | shed {:>6} | p99 {:>7.2} ms | occ {} ({})",
-                cell.poles,
-                cell.path,
-                cell.wall_s,
-                cell.throughput_rps,
-                cell.shed,
-                cell.p99_ms,
-                cell.occupancy,
-                cell.expected,
-            );
-            if cell.occupancy != cell.expected {
-                eprintln!("  ^ FAIL: ingest perf cell mis-fused the campus");
-                failures += 1;
-            }
-            if cell.poles == 256
-                && cell.path.starts_with("reactor")
-                && cell.throughput_rps < 10_000.0
-            {
-                eprintln!(
-                    "  ^ FAIL: reactor ingest {:.0} rps at 256 poles is below the 10k gate",
-                    cell.throughput_rps
-                );
-                failures += 1;
-            }
-            ingest_cells.push(cell);
-        }
+        ingest_cells.push(cell);
     }
     let idle_cpu = measure_idle_cpu();
     match idle_cpu {
@@ -1425,9 +1350,8 @@ fn main() {
     for (i, c) in ingest_cells.iter().enumerate() {
         let _ = writeln!(
             ingest_json,
-            "    {{\"poles\": {}, \"path\": \"{}\", \"sent\": {}, \"fused\": {}, \"shed\": {}, \"wall_s\": {}, \"throughput_rps\": {}, \"ingest\": {{\"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}}}, \"occupancy\": {}, \"expected\": {}, \"bit_identical\": {}}}{}",
+            "    {{\"poles\": {}, \"path\": \"reactor\", \"sent\": {}, \"fused\": {}, \"shed\": {}, \"wall_s\": {}, \"throughput_rps\": {}, \"ingest\": {{\"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}}}, \"occupancy\": {}, \"expected\": {}, \"bit_identical\": {}}}{}",
             c.poles,
-            c.path,
             c.sent,
             c.fused,
             c.shed,

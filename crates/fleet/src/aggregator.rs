@@ -46,9 +46,19 @@
 //! [`FusionConfig::dead_after_ms`] (or immediately on an orderly
 //! `Bye`). Dead poles keep their slot — the dashboard should show
 //! *which* pole died — but stop contributing people to occupancy.
+//!
+//! # Ingest
+//!
+//! [`Aggregator`] feeds fusion through a single path, the
+//! [`crate::reactor`]: each connection's bytes run through one ingest
+//! lane (decode, inflight shed, capture tap, sentinel verdict) and a
+//! worker pool folds the admitted messages into [`ShardedFusion`].
+//! [`crate::replay`] drives the same lane over a recording into a
+//! lone [`FusionCore`], so a live run's own capture is its
+//! determinism oracle.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,10 +71,10 @@ use world::{PoleRegistry, WalkwayConfig};
 use crate::capture::CaptureWriter;
 use crate::checkpoint::{Checkpoint, CheckpointError, SlotCheckpoint};
 use crate::health::{EventJournal, FleetEvent, FleetEventKind, FleetHealth, PoleHealth};
-use crate::reactor::{self, Intake, ReactorConfig, ReactorHandle};
+use crate::reactor::{self, Intake, ReactorHandle};
 use crate::sentinel::{Disposition, PoleTrust, Sentinel, SentinelConfig, TrustState};
-use crate::transport::{Transport, TransportError};
-use crate::wire::{FrameDecoder, Message, PoleReport};
+use crate::transport::Transport;
+use crate::wire::{Message, PoleReport};
 
 /// Fusion and liveness tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -1435,13 +1445,11 @@ impl ShardedFusion {
 pub struct AggregatorConfig {
     /// Fusion and liveness parameters.
     pub fusion: FusionConfig,
-    /// Per-connection receive poll timeout, ms (bounds how fast a
-    /// reader thread notices shutdown, and the reactor's park tick).
-    pub recv_timeout_ms: u64,
-    /// Most decoded messages one connection may have waiting for the
-    /// fusion lock at once. Past the budget the oldest waiting message
-    /// is dropped (and counted), so one firehosing pole sheds its own
-    /// backlog instead of starving the rest of the fleet.
+    /// Most decoded messages one connection may have waiting for
+    /// fusion at once. Past the budget the reactor sheds the newest
+    /// decode (counted as `fleet.agg.inflight_dropped`, and never
+    /// captured), so one firehosing pole sheds its own backlog instead
+    /// of starving the rest of the fleet.
     pub inflight_budget: usize,
     /// Fusion shards (zone bands). 0 = auto from the registry size.
     /// Ignored by [`Aggregator::with_core`], which wraps the given
@@ -1455,7 +1463,6 @@ impl Default for AggregatorConfig {
     fn default() -> Self {
         AggregatorConfig {
             fusion: FusionConfig::default(),
-            recv_timeout_ms: 50,
             inflight_budget: 256,
             fusion_shards: 0,
             reactor_workers: 0,
@@ -1463,21 +1470,19 @@ impl Default for AggregatorConfig {
     }
 }
 
-/// The campus occupancy service over a [`ShardedFusion`]. Two ingest
-/// paths share the fused state and produce bit-identical snapshots:
-///
-/// - [`Aggregator::spawn_connection`] — the historical reader thread
-///   per connection;
-/// - [`Aggregator::spawn_reactor`] + [`Aggregator::add_connection`] —
-///   one readiness-driven pump and a small worker pool, the path that
-///   scales to a thousand poles.
+/// The campus occupancy service over a [`ShardedFusion`]. Connections
+/// reach fused state through one ingest lane, the readiness-driven
+/// reactor: start it with [`Aggregator::spawn_reactor`], then hand it
+/// transports with [`Aggregator::add_connection`] or a TCP listener
+/// with [`Aggregator::serve_tcp`]. [`Aggregator::with_capture`]
+/// records every frame the reactor admits, and [`crate::replay`] of
+/// that recording reproduces the live snapshots.
 #[derive(Debug)]
 pub struct Aggregator {
     fusion: Arc<ShardedFusion>,
     cfg: AggregatorConfig,
     running: Arc<AtomicBool>,
     capture: Option<Arc<Mutex<CaptureWriter>>>,
-    next_conn: Arc<AtomicU32>,
     intake: Arc<Intake>,
     reactor_live: Arc<AtomicBool>,
 }
@@ -1523,8 +1528,6 @@ impl Aggregator {
             cfg,
             running: Arc::new(AtomicBool::new(true)),
             capture: None,
-            // Connection ids are 1-based; 0 is "direct ingest".
-            next_conn: Arc::new(AtomicU32::new(1)),
             intake: Arc::new(Intake::new()),
             reactor_live: Arc::new(AtomicBool::new(false)),
         }
@@ -1547,7 +1550,8 @@ impl Aggregator {
         self.fusion.cell()
     }
 
-    /// Records every inbound wire frame to `writer` as it is decoded.
+    /// Records every wire frame the reactor admits to fusion to
+    /// `writer`, with its arrival time and connection id.
     pub fn with_capture(mut self, writer: CaptureWriter) -> Self {
         self.capture = Some(Arc::new(Mutex::new(writer)));
         self
@@ -1569,16 +1573,15 @@ impl Aggregator {
         self.fusion.trust()
     }
 
-    /// Asks every reader thread and the reactor to wind down at their
-    /// next poll, and flushes the capture sink so a recording is
-    /// complete on disk.
+    /// Asks the reactor, the [`Aggregator::serve_tcp`] accept loop and
+    /// the checkpointer to wind down. The reactor first drains what
+    /// was already delivered; join its [`ReactorHandle`] to know every
+    /// admitted frame is fused and, with a capture attached, flushed
+    /// to the sink.
     pub fn stop(&self) {
         self.running.store(false, Ordering::SeqCst);
         // Wake the reactor pump so shutdown is prompt, not tick-paced.
         self.intake.poke();
-        if let Some(cap) = &self.capture {
-            let _ = cap.lock().flush();
-        }
     }
 
     /// Captures the fused state (see [`FusionCore::checkpoint`]).
@@ -1611,7 +1614,7 @@ impl Aggregator {
         let fusion = Arc::clone(&self.fusion);
         let running = Arc::clone(&self.running);
         std::thread::spawn(move || {
-            let tick = Duration::from_millis(50).min(every.max(Duration::from_millis(1)));
+            let tick = reactor::TICK.min(every.max(Duration::from_millis(1)));
             let mut since = Duration::ZERO;
             while running.load(Ordering::SeqCst) {
                 std::thread::sleep(tick);
@@ -1627,85 +1630,12 @@ impl Aggregator {
         })
     }
 
-    /// Spawns a reader thread that drains `transport` into the fused
-    /// state until the peer closes, the decoder poisons, the sentinel
-    /// orders the connection dropped, or [`Aggregator::stop`] is
-    /// called. Join the handle to know the connection fully drained.
-    pub fn spawn_connection(
-        &self,
-        mut transport: Box<dyn Transport>,
-    ) -> std::thread::JoinHandle<()> {
-        let fusion = Arc::clone(&self.fusion);
-        let running = Arc::clone(&self.running);
-        let capture = self.capture.clone();
-        let conn_id = self.next_conn.fetch_add(1, Ordering::SeqCst);
-        let timeout = Duration::from_millis(self.cfg.recv_timeout_ms.max(1));
-        let budget = self.cfg.inflight_budget.max(1);
-        std::thread::spawn(move || {
-            let clock = fusion.clock_handle();
-            let mut decoder = FrameDecoder::new();
-            while running.load(Ordering::SeqCst) {
-                match transport.recv(timeout) {
-                    Ok(chunk) => {
-                        let arrival = clock.now();
-                        decoder.push(&chunk);
-                        // Decode the whole chunk before fusing,
-                        // shedding past the inflight budget so a
-                        // firehosing peer drops its own oldest
-                        // traffic instead of starving others.
-                        let mut batch: VecDeque<Message> = VecDeque::new();
-                        loop {
-                            let step = match &capture {
-                                Some(cap) => decoder.next_message_and_frame().map(|opt| {
-                                    opt.map(|(msg, frame)| {
-                                        // Best-effort: a full capture
-                                        // disk must not down the fleet.
-                                        let _ = cap.lock().record(arrival, conn_id, &frame);
-                                        msg
-                                    })
-                                }),
-                                None => decoder.next_message(),
-                            };
-                            match step {
-                                Ok(Some(msg)) => {
-                                    if batch.len() >= budget {
-                                        batch.pop_front();
-                                        obs::incr("fleet.agg.inflight_dropped", 1);
-                                    }
-                                    batch.push_back(msg);
-                                }
-                                Ok(None) => break,
-                                Err(_) => {
-                                    // Framing is unrecoverable
-                                    // mid-stream: drop the connection
-                                    // and let the agent redial.
-                                    obs::incr("fleet.agg.decode_errors", 1);
-                                    transport.close();
-                                    return;
-                                }
-                            }
-                        }
-                        for msg in batch {
-                            let verdict = fusion.ingest_from(conn_id, msg);
-                            if verdict.drop_connection {
-                                transport.close();
-                                return;
-                            }
-                        }
-                    }
-                    Err(TransportError::TimedOut) => continue,
-                    Err(_) => break,
-                }
-            }
-            transport.close();
-        })
-    }
-
     /// Spawns the readiness-driven reactor: one pump thread parking
-    /// on transport readiness plus a worker pool folding decoded
+    /// on transport readiness plus a worker pool folding admitted
     /// messages into the fusion shards. Feed it sockets with
     /// [`Aggregator::add_connection`]; join the returned handle after
-    /// [`Aggregator::stop`] to know every accepted message was fused.
+    /// [`Aggregator::stop`] to know every admitted message was fused
+    /// and the capture, if any, flushed.
     ///
     /// At most one reactor may run per aggregator.
     pub fn spawn_reactor(&self) -> ReactorHandle {
@@ -1718,12 +1648,8 @@ impl Aggregator {
             running: Arc::clone(&self.running),
             intake: Arc::clone(&self.intake),
             capture: self.capture.clone(),
-            cfg: ReactorConfig {
-                workers: self.cfg.reactor_workers,
-                tick: Duration::from_millis(self.cfg.recv_timeout_ms.max(1)),
-                inflight_budget: self.cfg.inflight_budget.max(1),
-                publish_every: Some(Duration::from_millis(250)),
-            },
+            workers: self.cfg.reactor_workers,
+            inflight_budget: self.cfg.inflight_budget,
         })
     }
 
@@ -1732,46 +1658,27 @@ impl Aggregator {
     /// already be non-blocking where that applies; the pump only ever
     /// issues zero-timeout reads.
     pub fn add_connection(&self, transport: Box<dyn Transport>) -> u32 {
-        let conn_id = self.next_conn.fetch_add(1, Ordering::SeqCst);
-        self.intake.push(conn_id, transport);
-        conn_id
+        self.intake.push(transport)
     }
 
     /// Serves a TCP listener until [`Aggregator::stop`]: parks on
     /// listener readiness (`poll(2)` where available — no busy spin,
-    /// near-zero idle CPU) and routes accepted sockets into the
-    /// reactor when one is running, else to a reader thread each.
+    /// near-zero idle CPU) and hands every accepted socket,
+    /// non-blocking, to the reactor. Sockets accepted before
+    /// [`Aggregator::spawn_reactor`] wait for it in the intake.
     pub fn serve_tcp(&self, listener: std::net::TcpListener) -> std::thread::JoinHandle<()> {
         let running = Arc::clone(&self.running);
-        let reactor_live = Arc::clone(&self.reactor_live);
-        let this = Aggregator {
-            fusion: Arc::clone(&self.fusion),
-            cfg: self.cfg,
-            running: Arc::clone(&self.running),
-            capture: self.capture.clone(),
-            next_conn: Arc::clone(&self.next_conn),
-            intake: Arc::clone(&self.intake),
-            reactor_live: Arc::clone(&self.reactor_live),
-        };
+        let intake = Arc::clone(&self.intake);
         listener
             .set_nonblocking(true)
             .expect("listener nonblocking");
-        let tick = Duration::from_millis(self.cfg.recv_timeout_ms.max(1));
         std::thread::spawn(move || {
             while running.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        if reactor_live.load(Ordering::SeqCst) {
-                            stream.set_nonblocking(true).ok();
-                            if let Ok(mut t) = crate::transport::TcpTransport::new(stream) {
-                                let _ = t.set_nonblocking(true);
-                                this.add_connection(Box::new(t));
-                            }
-                        } else {
-                            stream.set_nonblocking(false).ok();
-                            if let Ok(t) = crate::transport::TcpTransport::new(stream) {
-                                this.spawn_connection(Box::new(t));
-                            }
+                        if let Ok(mut t) = crate::transport::TcpTransport::new(stream) {
+                            let _ = t.set_nonblocking(true);
+                            intake.push(Box::new(t));
                         }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -1786,10 +1693,10 @@ impl Aggregator {
                                 events: crate::sys::POLLIN,
                                 revents: 0,
                             }];
-                            crate::sys::poll_fds(&mut fds, tick);
+                            crate::sys::poll_fds(&mut fds, reactor::TICK);
                         }
                         #[cfg(not(unix))]
-                        std::thread::sleep(tick);
+                        std::thread::sleep(reactor::TICK);
                     }
                     Err(_) => break,
                 }
@@ -1996,24 +1903,21 @@ mod tests {
     }
 
     #[test]
-    fn aggregator_threads_fold_into_one_core() {
-        use crate::transport::loopback_pair;
-        use crate::transport::LoopbackConfig;
+    fn reactor_folds_every_connection_into_one_core() {
+        use crate::transport::{loopback_pair, LoopbackConfig};
         use crate::wire::encode;
         let clock = ManualClock::new();
         let agg = Aggregator::with_core(core(&clock), AggregatorConfig::default());
+        let reactor = agg.spawn_reactor();
         let (mut c1, s1) = loopback_pair(LoopbackConfig::reliable());
         let (mut c2, s2) = loopback_pair(LoopbackConfig::reliable());
-        let h1 = agg.spawn_connection(Box::new(s1));
-        let h2 = agg.spawn_connection(Box::new(s2));
         c1.send(&encode(&report(0, 1, &[(14.0, 0.0)]))).unwrap();
         c2.send(&encode(&report(1, 1, &[(20.0, 0.0)]))).unwrap();
-        c1.close();
-        c2.close();
-        drop(c1);
-        drop(c2);
-        h1.join().unwrap();
-        h2.join().unwrap();
+        assert_eq!(agg.add_connection(Box::new(s1)), 1, "ids are 1-based");
+        assert_eq!(agg.add_connection(Box::new(s2)), 2);
+        // A joined reactor has fused everything already delivered.
+        agg.stop();
+        reactor.join();
         let snap = agg.snapshot();
         assert_eq!(snap.occupancy, 2);
         assert_eq!(snap.poles.len(), 2);

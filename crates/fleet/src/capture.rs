@@ -1,10 +1,13 @@
 //! Wire capture and bit-exact replay.
 //!
-//! Every inbound frame the aggregator decodes can be appended to a
-//! capture file together with its arrival metadata. The recording can
-//! then be fed back through the full decode → sentinel → fusion path,
-//! turning any live anomaly into a frozen regression fixture and
-//! enabling offline backtesting of fusion changes against a corpus.
+//! The reactor's ingest lane ([`crate::reactor`]) can record every
+//! frame it admits to fusion, together with its arrival metadata. The
+//! recording can then be fed back through the same lane — decode →
+//! sentinel → fusion — turning any live anomaly into a frozen
+//! regression fixture and enabling offline backtesting of fusion
+//! changes against a corpus. It is also the live aggregator's
+//! determinism oracle: a run's own capture, replayed, reproduces the
+//! run's snapshot bit for bit.
 //!
 //! # File format (version 1)
 //!
@@ -26,23 +29,28 @@
 //!
 //! [`replay`] partitions records by connection, quantises time into
 //! snapshot windows, and feeds each connection's frames in recorded
-//! order through per-connection decoders into a shared `FusionCore`
-//! under a `ManualClock` that only advances at window barriers. Since
-//! fusion is last-seq-wins and the sentinel scores each pole only on
-//! its own in-order stream, the snapshot sequence is bit-identical
-//! whether the windows are drained by one worker thread or eight —
-//! the property the capture-replay CI job pins. (The one caveat: if a
-//! single pole's traffic straddles two connections inside one window,
-//! cross-connection order is scheduler-chosen, exactly as it was
-//! live.)
+//! order through that connection's ingest lane into a shared
+//! `FusionCore` under a `ManualClock` that only advances at window
+//! barriers. Since fusion is last-seq-wins and the sentinel scores
+//! each pole only on its own in-order stream, the snapshot sequence
+//! is bit-identical whether the windows are drained by one worker
+//! thread or eight — the property the capture-replay CI job pins.
+//! (The one caveat: if a single pole's traffic straddles two
+//! connections inside one window, cross-connection order is
+//! scheduler-chosen, exactly as it was live.) Frames the live lane
+//! shed past its inflight budget were never recorded, so replay
+//! fuses exactly the messages live fusion saw.
 //!
-//! Replay deliberately stays on a single [`FusionCore`]: it is the
-//! reference path the sharded live aggregator is measured against.
-//! [`crate::ShardedFusion`] assembles snapshots through the same
-//! gather/dedup pipeline a lone core uses (seam components merge
-//! campus-wide before dedup), so a capture replayed here must match
-//! snapshots the reactor produced live, at any shard or worker
-//! count — the soak bench's ingest cells assert exactly that.
+//! Replay shares only the per-connection lane with the reactor and
+//! keeps its own scheduling — one [`FusionCore`], window barriers,
+//! connections round-robined over scoped threads — so it stays an
+//! independent reference for the reactor's worker pool and
+//! [`crate::ShardedFusion`]'s shards. Sharded fusion assembles
+//! snapshots through the same gather/dedup pipeline a lone core uses
+//! (seam components merge campus-wide before dedup), so a capture
+//! replayed here must match the snapshot the reactor produced live,
+//! at any shard or worker count — `tests/fleet.rs` and the soak
+//! bench's ingest cells assert exactly that.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -56,8 +64,7 @@ use parking_lot::Mutex;
 use world::{PoleRegistry, WalkwayConfig};
 
 use crate::aggregator::{CampusSnapshot, FusionConfig, FusionCore};
-use crate::transport::{Transport, TransportError};
-use crate::wire::FrameDecoder;
+use crate::reactor::IngestLane;
 
 /// Capture file magic: `b"HWCR"` read as a little-endian `u32`.
 pub const CAPTURE_MAGIC: u32 = u32::from_le_bytes(*b"HWCR");
@@ -125,17 +132,14 @@ pub struct CaptureRecord {
     pub frame: Vec<u8>,
 }
 
-/// Appends wire frames to a capture sink as they are decoded.
+/// Appends wire frames to a capture sink as the reactor admits them.
 pub struct CaptureWriter {
     out: Box<dyn Write + Send>,
-    records: u64,
 }
 
 impl std::fmt::Debug for CaptureWriter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CaptureWriter")
-            .field("records", &self.records)
-            .finish()
+        f.debug_struct("CaptureWriter").finish_non_exhaustive()
     }
 }
 
@@ -145,7 +149,7 @@ impl CaptureWriter {
         out.write_all(&CAPTURE_MAGIC.to_le_bytes())?;
         out.write_all(&CAPTURE_VERSION.to_le_bytes())?;
         out.write_all(&0u16.to_le_bytes())?;
-        Ok(CaptureWriter { out, records: 0 })
+        Ok(CaptureWriter { out })
     }
 
     /// Creates (truncating) a capture file at `path`.
@@ -184,14 +188,8 @@ impl CaptureWriter {
         let crc = crate::wire::crc32(&rec);
         self.out.write_all(&rec)?;
         self.out.write_all(&crc.to_le_bytes())?;
-        self.records += 1;
         obs::incr("fleet.capture.frames", 1);
         Ok(())
-    }
-
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.records
     }
 
     /// Flushes the underlying sink.
@@ -253,48 +251,10 @@ pub fn load_capture(path: &Path) -> Result<Vec<CaptureRecord>, CaptureError> {
     read_capture(&bytes)
 }
 
-/// A [`Transport`] that yields recorded frames instead of live ones.
-/// Each `recv` returns the next frame; when the recording runs out,
-/// the connection reads as closed. Send is rejected — a recording is
-/// read-only.
-#[derive(Debug)]
-pub struct ReplayTransport {
-    frames: std::collections::VecDeque<Vec<u8>>,
-}
-
-impl ReplayTransport {
-    /// A transport replaying `frames` in order.
-    pub fn new(frames: impl IntoIterator<Item = Vec<u8>>) -> Self {
-        ReplayTransport {
-            frames: frames.into_iter().collect(),
-        }
-    }
-
-    /// Frames not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.frames.len()
-    }
-}
-
-impl Transport for ReplayTransport {
-    fn send(&mut self, _frame: &[u8]) -> Result<(), TransportError> {
-        Err(TransportError::Io(String::from(
-            "replay transports are read-only",
-        )))
-    }
-
-    fn recv(&mut self, _timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.frames.pop_front().ok_or(TransportError::Closed)
-    }
-
-    fn close(&mut self) {
-        self.frames.clear();
-    }
-}
-
 /// Replays a recording through decode → sentinel → fusion and returns
 /// the snapshot sequence, one per `snapshot_every` window of recorded
-/// time. `threads` is the worker count draining connections within a
+/// time (`Duration::ZERO`: one snapshot at the last arrival).
+/// `threads` is the worker count draining connections within a
 /// window; the result is bit-identical for any value ≥ 1.
 pub fn replay(
     records: &[CaptureRecord],
@@ -305,16 +265,21 @@ pub fn replay(
     snapshot_every: Duration,
 ) -> Vec<CampusSnapshot> {
     let clock = ManualClock::new();
-    let core = Arc::new(Mutex::new(
-        FusionCore::new(registry, walkway, fusion).with_clock(clock.handle()),
-    ));
+    let core = Mutex::new(FusionCore::new(registry, walkway, fusion).with_clock(clock.handle()));
     let threads = threads.max(1);
 
-    // Partition by connection, preserving recorded order within each.
-    let mut streams: BTreeMap<u32, Vec<&CaptureRecord>> = BTreeMap::new();
+    // Partition by connection, preserving recorded order within each,
+    // next to the connection's ingest lane and its first record not
+    // yet replayed. The recording holds only frames the live lane
+    // admitted, so the replay lane never needs to shed.
+    let mut conns: BTreeMap<u32, (IngestLane, Vec<&CaptureRecord>, usize)> = BTreeMap::new();
     let mut max_arrival = Duration::ZERO;
     for r in records {
-        streams.entry(r.conn_id).or_default().push(r);
+        conns
+            .entry(r.conn_id)
+            .or_insert_with(|| (IngestLane::new(r.conn_id, usize::MAX, None), Vec::new(), 0))
+            .1
+            .push(r);
         max_arrival = max_arrival.max(r.arrival);
     }
     let every = if snapshot_every.is_zero() {
@@ -323,85 +288,45 @@ pub fn replay(
         snapshot_every
     };
 
-    // Per-connection cursor into its stream; connections a verdict
-    // killed stop replaying, as they stopped live.
-    let conn_ids: Vec<u32> = streams.keys().copied().collect();
-    let mut cursors: BTreeMap<u32, usize> = conn_ids.iter().map(|&c| (c, 0)).collect();
-    let mut dead: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-
     let mut snapshots = Vec::new();
     let mut cut = Duration::ZERO;
     loop {
         cut += every;
         let final_window = cut >= max_arrival;
 
-        // Work list for this window: each connection's records with
-        // arrival <= cut, starting at its cursor.
-        let mut window: Vec<(u32, Vec<Vec<u8>>)> = Vec::new();
-        for &conn in &conn_ids {
-            if dead.contains(&conn) {
-                continue;
-            }
-            let stream = &streams[&conn];
-            let start = cursors[&conn];
-            let mut end = start;
-            while end < stream.len() && stream[end].arrival <= cut {
-                end += 1;
-            }
-            if end > start {
-                window.push((
-                    conn,
-                    stream[start..end].iter().map(|r| r.frame.clone()).collect(),
-                ));
-            }
-            cursors.insert(conn, end);
-        }
-
-        // Drain the window: round-robin connections over the workers.
-        // Each worker owns whole connections, so per-connection frame
+        // This window's work: each open connection's records with
+        // arrival <= cut, dealt round-robin over the workers. Each
+        // worker owns whole connections, so per-connection frame
         // order is preserved no matter the interleaving.
-        let killed: Vec<u32> = std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for w in 0..threads {
-                let chunk: Vec<&(u32, Vec<Vec<u8>>)> =
-                    window.iter().skip(w).step_by(threads).collect();
-                if chunk.is_empty() {
-                    continue;
-                }
-                let core = Arc::clone(&core);
-                handles.push(s.spawn(move || {
-                    let mut killed = Vec::new();
-                    for (conn, frames) in chunk {
-                        let mut decoder = FrameDecoder::new();
-                        'conn: for frame in frames {
-                            decoder.push(frame);
-                            loop {
-                                match decoder.next_message() {
-                                    Ok(Some(msg)) => {
-                                        let verdict = core.lock().ingest_from(*conn, msg);
-                                        if verdict.drop_connection {
-                                            killed.push(*conn);
-                                            break 'conn;
-                                        }
-                                    }
-                                    Ok(None) => break,
-                                    Err(_) => {
-                                        killed.push(*conn);
-                                        break 'conn;
-                                    }
-                                }
+        let mut work: Vec<Vec<(&mut IngestLane, &[&CaptureRecord])>> =
+            (0..threads).map(|_| Vec::new()).collect();
+        let mut dealt = 0;
+        for (lane, stream, next) in conns.values_mut() {
+            let start = *next;
+            *next += stream[start..]
+                .iter()
+                .take_while(|r| r.arrival <= cut)
+                .count();
+            if lane.is_open() && *next > start {
+                work[dealt % threads].push((lane, &stream[start..*next]));
+                dealt += 1;
+            }
+        }
+        std::thread::scope(|s| {
+            for chunk in work.into_iter().filter(|c| !c.is_empty()) {
+                let core = &core;
+                s.spawn(move || {
+                    for (lane, window) in chunk {
+                        for r in window {
+                            lane.push(&r.frame);
+                            while let Some(msg) = lane.admit(r.arrival) {
+                                msg.fuse(|conn_id, m| core.lock().ingest_from(conn_id, m));
                             }
                         }
                     }
-                    killed
-                }));
+                });
             }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
         });
-        dead.extend(killed);
 
         // Barrier: all of the window's traffic is fused; only now does
         // time advance, so `heard_at` and snapshot timing are

@@ -5,7 +5,7 @@
 //! campus deployment is a *fleet*: dozens of poles, each streaming
 //! per-frame counts to a central aggregator that answers "how many
 //! people are on campus right now, and where?". This crate is that
-//! tier, split into three layers:
+//! tier:
 //!
 //! - [`wire`] — a versioned, length-prefixed, checksummed binary
 //!   framing for [`wire::PoleReport`]s and heartbeats. Decoding is
@@ -23,6 +23,10 @@
 //!   heartbeat deadlines, centroid fusion that dedups people seen by
 //!   two overlapping poles (via `world::PoleRegistry` poses), and
 //!   time-windowed [`aggregator::CampusSnapshot`]s for dashboards.
+//! - [`reactor`] — the one ingest lane from wire bytes to fusion: a
+//!   readiness-driven pump runs each connection's decode, inflight
+//!   shed, capture tap and sentinel verdicts, and a small worker pool
+//!   folds the admitted messages into the fusion shards.
 //! - [`health`] — the ops surface derived from all of the above: a
 //!   [`health::FleetHealth`] scoreboard of merged per-pole telemetry
 //!   and end-to-end ingest latency percentiles, plus a bounded
@@ -32,10 +36,11 @@
 //!   validation of every decoded message, a decaying violation score,
 //!   and a Suspect → Quarantined → Banned trust ladder that keeps a
 //!   compromised pole from poisoning the campus view.
-//! - [`capture`] — wire capture and bit-exact replay: every inbound
-//!   frame can be recorded with its arrival metadata and later fed
-//!   back through the full decode → sentinel → fusion path, turning a
-//!   live anomaly into a frozen regression fixture.
+//! - [`capture`] — wire capture and bit-exact replay: every frame the
+//!   reactor admits can be recorded with its arrival metadata and
+//!   later fed back through the same lane into a lone fusion core,
+//!   turning a live anomaly into a frozen regression fixture and
+//!   giving the reactor its determinism oracle.
 //! - [`checkpoint`] — crash-safe warm restart: the fused state is
 //!   periodically serialised to a versioned, CRC'd snapshot file
 //!   (written atomically), so a restarted aggregator resumes with
@@ -45,7 +50,9 @@
 //! per pole and last-sequence-wins, so a campus snapshot is a pure
 //! function of *which* reports arrived, not the order or thread they
 //! arrived on. Tests pin this — fused counts are bit-identical across
-//! one agent thread or eight, and across packet reorder.
+//! one agent thread or eight, across packet reorder, and between a
+//! live reactor at any worker or shard count and the replay of its
+//! own capture.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,12 +80,10 @@ pub use aggregator::{
     FusionStats, IngestVerdict, Liveness, PoleStatus, PublishHook, ShardedFusion, SnapshotCell,
     ZoneOccupancy,
 };
-pub use capture::{
-    load_capture, read_capture, replay, CaptureError, CaptureRecord, CaptureWriter, ReplayTransport,
-};
+pub use capture::{load_capture, read_capture, replay, CaptureError, CaptureRecord, CaptureWriter};
 pub use checkpoint::{Checkpoint, CheckpointError, SlotCheckpoint};
 pub use health::{EventJournal, FleetEvent, FleetEventKind, FleetHealth, PoleHealth};
-pub use reactor::{ReactorConfig, ReactorHandle};
+pub use reactor::ReactorHandle;
 pub use sentinel::{
     Disposition, Inspection, PoleTrust, Sentinel, SentinelConfig, TrustState, Violation,
 };

@@ -1,37 +1,45 @@
-//! The readiness-driven ingest reactor.
+//! The readiness-driven ingest reactor: the aggregator's one ingest
+//! lane.
 //!
 //! One *pump* thread owns every connection: it parks on a shared
 //! [`ReadySignal`] (in-process transports ping it on delivery) and on
 //! `poll(2)` (descriptor-backed transports), drains ready transports
-//! with zero-timeout reads, decodes frames, and fans complete
-//! messages out to a small worker pool. Workers fold messages into
+//! with zero-timeout reads, and feeds each chunk to the connection's
+//! [`IngestLane`]. The lane decodes frames, sheds past the inflight
+//! budget, records every admitted frame to the capture, and hands the
+//! admitted messages to a small worker pool. Workers fold them into
 //! the [`ShardedFusion`]; a connection's messages always land on the
 //! same worker (`conn_id % workers`), so per-connection FIFO — the
 //! order the sentinel's trust ladder is defined over — survives the
 //! fan-out.
 //!
+//! [`crate::capture::replay`] drives the same lane over a recording,
+//! so live ingest and replay share every per-connection decision and
+//! differ only in scheduling.
+//!
 //! # Why determinism survives
 //!
 //! Fusion is last-sequence-wins per pole and the sentinel judges each
 //! pole's own stream in connection order, so the fused state is a
-//! pure function of *which* messages arrived — never of the thread,
-//! poll cycle, or shard that carried them. That is the exact
-//! invariant the thread-per-connection path leans on, which is why
-//! the two paths produce bit-identical snapshots at any worker count
-//! (pinned by `tests/fleet.rs` and the soak bench's ingest cells).
+//! pure function of *which* messages were admitted — never of the
+//! thread, poll cycle, or shard that carried them. The capture holds
+//! exactly the admitted frames, so replaying the reactor's own capture
+//! through a single `FusionCore` reproduces its snapshot bit for bit
+//! at any worker or shard count (pinned by `tests/fleet.rs` and the
+//! soak bench's ingest cells).
 //!
 //! Transports that can neither signal readiness nor expose a
 //! descriptor are swept once per tick — correct, just not as idle.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use obs::Clock;
 use parking_lot::Mutex;
 
-use crate::aggregator::ShardedFusion;
+use crate::aggregator::{IngestVerdict, ShardedFusion};
 use crate::capture::CaptureWriter;
 use crate::transport::{ReadySignal, Transport, TransportError};
 use crate::wire::{FrameDecoder, Message};
@@ -41,31 +49,150 @@ use crate::wire::{FrameDecoder, Message};
 /// connection id.
 const INTAKE_TOKEN: u64 = u64::MAX;
 
-/// Reactor tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct ReactorConfig {
-    /// Worker threads folding messages into fusion. 0 = auto.
-    pub workers: usize,
-    /// Pump park bound: the longest the pump sleeps with nothing
-    /// ready, and the sweep cadence for transports without readiness.
-    pub tick: Duration,
-    /// Per-connection cap on messages decoded but not yet fused; past
-    /// it the newest decode is shed (and counted), so one firehosing
-    /// pole cannot queue unbounded memory.
-    pub inflight_budget: usize,
-    /// Cadence for publishing snapshots to the aggregator's
-    /// [`crate::SnapshotCell`]; `None` publishes only on demand.
-    pub publish_every: Option<Duration>,
+/// The pump's park bound: the longest it sleeps with nothing ready,
+/// and the sweep cadence for transports that cannot signal.
+pub(crate) const TICK: Duration = Duration::from_millis(50);
+
+/// How often the pump publishes a snapshot to the aggregator's
+/// [`crate::SnapshotCell`].
+const PUBLISH_EVERY: Duration = Duration::from_millis(250);
+
+/// What a lane shares with the messages it has admitted.
+#[derive(Debug, Default)]
+struct LaneState {
+    /// Messages admitted but not yet fused.
+    inflight: AtomicUsize,
+    /// Set when a sentinel verdict drops the connection; admitted
+    /// messages still queued behind that verdict are discarded.
+    condemned: AtomicBool,
 }
 
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            workers: 0,
-            tick: Duration::from_millis(50),
-            inflight_budget: 256,
-            publish_every: Some(Duration::from_millis(250)),
+/// One connection's path from wire bytes to fusion: the frame
+/// decoder, the inflight budget, the capture tap, and the handling of
+/// decode errors and drop-connection verdicts. The reactor drives one
+/// lane per live connection (the pump admits, a worker fuses);
+/// [`crate::capture::replay`] drives one per recorded connection.
+pub(crate) struct IngestLane {
+    conn_id: u32,
+    decoder: FrameDecoder,
+    state: Arc<LaneState>,
+    budget: usize,
+    capture: Option<Arc<Mutex<CaptureWriter>>>,
+    /// The byte stream is over: the peer hung up, the transport
+    /// failed, or framing broke.
+    closed: bool,
+}
+
+impl IngestLane {
+    /// A lane for connection `conn_id` that sheds the newest decode
+    /// once `budget` admitted messages await fusion, and records every
+    /// admitted frame to `capture`.
+    pub(crate) fn new(
+        conn_id: u32,
+        budget: usize,
+        capture: Option<Arc<Mutex<CaptureWriter>>>,
+    ) -> Self {
+        IngestLane {
+            conn_id,
+            decoder: FrameDecoder::new(),
+            state: Arc::default(),
+            budget: budget.max(1),
+            capture,
+            closed: false,
         }
+    }
+
+    /// Whether the lane still takes bytes: its stream is not over and
+    /// no verdict has dropped the connection.
+    pub(crate) fn is_open(&self) -> bool {
+        !self.closed && !self.state.condemned.load(Ordering::Acquire)
+    }
+
+    /// Ends the byte stream (peer gone, transport failed). Messages
+    /// already admitted still fuse.
+    pub(crate) fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// Buffers bytes that arrived together; a stopped lane ignores
+    /// them.
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        if self.is_open() {
+            self.decoder.push(bytes);
+        }
+    }
+
+    /// The next message decoded from the buffered bytes that fits the
+    /// inflight budget, its frame recorded at `arrival`. `None` once
+    /// no complete frame is buffered or the lane has stopped.
+    pub(crate) fn admit(&mut self, arrival: Duration) -> Option<Admitted> {
+        while self.is_open() {
+            let decoded = if self.capture.is_some() {
+                self.decoder
+                    .next_message_and_frame()
+                    .map(|d| d.map(|(msg, frame)| (msg, Some(frame))))
+            } else {
+                self.decoder
+                    .next_message()
+                    .map(|d| d.map(|msg| (msg, None)))
+            };
+            match decoded {
+                Ok(Some((msg, frame))) => {
+                    if self.state.inflight.load(Ordering::Acquire) >= self.budget {
+                        // Shed the newest decode: the firehosing
+                        // connection pays for its own backlog. A shed
+                        // frame is never captured, so a replay fuses
+                        // exactly what live fusion saw.
+                        obs::incr("fleet.agg.inflight_dropped", 1);
+                        continue;
+                    }
+                    self.state.inflight.fetch_add(1, Ordering::AcqRel);
+                    if let (Some(cap), Some(frame)) = (&self.capture, frame) {
+                        // Best-effort: a full capture disk must not
+                        // down the fleet.
+                        let _ = cap.lock().record(arrival, self.conn_id, &frame);
+                    }
+                    return Some(Admitted {
+                        conn_id: self.conn_id,
+                        msg,
+                        lane: Arc::clone(&self.state),
+                    });
+                }
+                Ok(None) => return None,
+                Err(_) => {
+                    // Framing is unrecoverable mid-stream: drop the
+                    // connection, the agent redials.
+                    obs::incr("fleet.agg.decode_errors", 1);
+                    self.closed = true;
+                }
+            }
+        }
+        None
+    }
+}
+
+/// A message its lane admitted, on its way to fusion.
+pub(crate) struct Admitted {
+    conn_id: u32,
+    msg: Message,
+    lane: Arc<LaneState>,
+}
+
+impl Admitted {
+    /// Folds the message into fusion through `ingest`, unless a
+    /// verdict dropped its connection since admission (a dropped
+    /// connection's queued tail is discarded). Returns whether this
+    /// message's own verdict dropped the connection.
+    pub(crate) fn fuse(self, ingest: impl FnOnce(u32, Message) -> IngestVerdict) -> bool {
+        self.lane.inflight.fetch_sub(1, Ordering::AcqRel);
+        if self.lane.condemned.load(Ordering::Acquire) {
+            return false;
+        }
+        let drop = ingest(self.conn_id, self.msg).drop_connection;
+        if drop {
+            self.lane.condemned.store(true, Ordering::Release);
+        }
+        drop
     }
 }
 
@@ -74,6 +201,7 @@ impl Default for ReactorConfig {
 pub(crate) struct Intake {
     pub(crate) signal: Arc<ReadySignal>,
     pending: Mutex<Vec<(u32, Box<dyn Transport>)>>,
+    next_conn: AtomicU32,
 }
 
 impl std::fmt::Debug for Intake {
@@ -89,13 +217,18 @@ impl Intake {
         Intake {
             signal: Arc::new(ReadySignal::new()),
             pending: Mutex::new(Vec::new()),
+            // Connection ids are 1-based; 0 is "direct ingest".
+            next_conn: AtomicU32::new(1),
         }
     }
 
-    /// Queues a connection for the pump and wakes it.
-    pub(crate) fn push(&self, conn_id: u32, transport: Box<dyn Transport>) {
+    /// Assigns the next connection id, queues the connection for the
+    /// pump, wakes it, and returns the id.
+    pub(crate) fn push(&self, transport: Box<dyn Transport>) -> u32 {
+        let conn_id = self.next_conn.fetch_add(1, Ordering::SeqCst);
         self.pending.lock().push((conn_id, transport));
         self.signal.notify(INTAKE_TOKEN);
+        conn_id
     }
 
     /// Wakes the pump without queueing anything (shutdown, kill
@@ -115,7 +248,10 @@ pub(crate) struct ReactorContext {
     pub(crate) running: Arc<AtomicBool>,
     pub(crate) intake: Arc<Intake>,
     pub(crate) capture: Option<Arc<Mutex<CaptureWriter>>>,
-    pub(crate) cfg: ReactorConfig,
+    /// Worker threads folding messages into fusion. 0 = auto.
+    pub(crate) workers: usize,
+    /// Per-connection inflight cap (see [`IngestLane::new`]).
+    pub(crate) inflight_budget: usize,
 }
 
 /// Join handle for a running reactor: the pump and its workers.
@@ -126,13 +262,9 @@ pub struct ReactorHandle {
 }
 
 impl ReactorHandle {
-    /// How many workers the reactor is running.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Waits for the pump to exit and the workers to drain every
-    /// accepted message into fusion.
+    /// admitted message into fusion. After `join`, an attached capture
+    /// holds every admitted frame, flushed to its sink.
     pub fn join(self) {
         let _ = self.pump.join();
         for w in self.workers {
@@ -141,38 +273,21 @@ impl ReactorHandle {
     }
 }
 
-/// One message waiting for its worker, with the shared per-connection
-/// accounting the pump and worker coordinate through.
-struct Job {
-    conn_id: u32,
-    msg: Message,
-    inflight: Arc<AtomicUsize>,
-    kill: Arc<AtomicBool>,
-}
-
-fn worker_loop(fusion: Arc<ShardedFusion>, rx: mpsc::Receiver<Job>, signal: Arc<ReadySignal>) {
+fn worker_loop(fusion: Arc<ShardedFusion>, rx: mpsc::Receiver<Admitted>, signal: Arc<ReadySignal>) {
     // The pump drops its senders when it exits; draining until
-    // `Disconnected` means every accepted message is fused before the
+    // `Disconnected` means every admitted message is fused before the
     // worker leaves, so `ReactorHandle::join` implies quiescence.
-    while let Ok(job) = rx.recv() {
-        job.inflight.fetch_sub(1, Ordering::AcqRel);
-        if job.kill.load(Ordering::Acquire) {
-            // Condemned connection: its queued tail is discarded,
-            // matching the reader-thread path which stops at the
-            // verdict message.
-            continue;
-        }
-        let verdict = fusion.ingest_from(job.conn_id, job.msg);
-        if verdict.drop_connection {
-            job.kill.store(true, Ordering::Release);
+    while let Ok(msg) = rx.recv() {
+        if msg.fuse(|conn_id, m| fusion.ingest_from(conn_id, m)) {
+            // Wake the pump to reap the dropped connection.
             signal.notify(INTAKE_TOKEN);
         }
     }
 }
 
 pub(crate) fn spawn(ctx: ReactorContext) -> ReactorHandle {
-    let nworkers = if ctx.cfg.workers != 0 {
-        ctx.cfg.workers
+    let nworkers = if ctx.workers != 0 {
+        ctx.workers
     } else {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -183,7 +298,7 @@ pub(crate) fn spawn(ctx: ReactorContext) -> ReactorHandle {
     let mut txs = Vec::with_capacity(nworkers);
     let mut workers = Vec::with_capacity(nworkers);
     for w in 0..nworkers {
-        let (tx, rx) = mpsc::channel::<Job>();
+        let (tx, rx) = mpsc::channel::<Admitted>();
         txs.push(tx);
         let fusion = Arc::clone(&ctx.fusion);
         let signal = Arc::clone(&ctx.intake.signal);
@@ -204,9 +319,7 @@ pub(crate) fn spawn(ctx: ReactorContext) -> ReactorHandle {
         clock,
         txs,
         conns: BTreeMap::new(),
-        tick: ctx.cfg.tick.max(Duration::from_millis(1)),
-        budget: ctx.cfg.inflight_budget.max(1),
-        publish_every: ctx.cfg.publish_every,
+        budget: ctx.inflight_budget,
     };
     let pump = std::thread::Builder::new()
         .name("ingest-pump".into())
@@ -219,15 +332,12 @@ pub(crate) fn spawn(ctx: ReactorContext) -> ReactorHandle {
 /// One adopted connection, as the pump sees it.
 struct Conn {
     transport: Box<dyn Transport>,
-    decoder: FrameDecoder,
-    inflight: Arc<AtomicUsize>,
-    kill: Arc<AtomicBool>,
+    lane: IngestLane,
     /// The transport pings the shared signal on delivery, so the pump
     /// only visits it when its token surfaces.
     signalled: bool,
     #[cfg(unix)]
     fd: Option<std::os::unix::io::RawFd>,
-    dead: bool,
 }
 
 struct Pump {
@@ -236,11 +346,9 @@ struct Pump {
     intake: Arc<Intake>,
     capture: Option<Arc<Mutex<CaptureWriter>>>,
     clock: Arc<dyn Clock>,
-    txs: Vec<mpsc::Sender<Job>>,
+    txs: Vec<mpsc::Sender<Admitted>>,
     conns: BTreeMap<u32, Conn>,
-    tick: Duration,
     budget: usize,
-    publish_every: Option<Duration>,
 }
 
 impl Pump {
@@ -251,17 +359,16 @@ impl Pump {
             self.adopt();
             self.drain_cycle(ready);
             self.reap();
-            if let Some(every) = self.publish_every {
-                if last_publish.elapsed() >= every {
-                    self.fusion.snapshot();
-                    last_publish = Instant::now();
-                }
+            if last_publish.elapsed() >= PUBLISH_EVERY {
+                self.fusion.snapshot();
+                last_publish = Instant::now();
             }
         }
         // Orderly shutdown: adopt stragglers, drain what has already
-        // been delivered, close everything. Dropping the worker
-        // senders afterwards lets the workers finish the queued tail
-        // and exit.
+        // been delivered, close everything, and only then flush the
+        // capture, so a joined reactor means a complete recording.
+        // Dropping the worker senders afterwards lets the workers
+        // finish the queued tail and exit.
         self.adopt();
         let ids: Vec<u32> = self.conns.keys().copied().collect();
         for id in ids {
@@ -269,6 +376,9 @@ impl Pump {
         }
         for (_, mut conn) in std::mem::take(&mut self.conns) {
             conn.transport.close();
+        }
+        if let Some(cap) = &self.capture {
+            let _ = cap.lock().flush();
         }
     }
 
@@ -282,7 +392,7 @@ impl Pump {
             let mut fd_ids: Vec<u32> = Vec::new();
             let mut pfds: Vec<crate::sys::PollFd> = Vec::new();
             for (&id, c) in &self.conns {
-                if c.dead {
+                if !c.lane.is_open() {
                     continue;
                 }
                 if let Some(fd) = c.fd {
@@ -295,7 +405,7 @@ impl Pump {
                 }
             }
             if !pfds.is_empty() {
-                crate::sys::poll_fds(&mut pfds, self.tick);
+                crate::sys::poll_fds(&mut pfds, TICK);
                 // The signal is only drained (not parked on) here:
                 // poll is the park, so signalled traffic in a mixed
                 // deployment waits at most one tick.
@@ -319,7 +429,7 @@ impl Pump {
         }
         self.intake
             .signal
-            .wait(self.tick)
+            .wait(TICK)
             .into_iter()
             .filter(|&t| t != INTAKE_TOKEN)
             .map(|t| t as u32)
@@ -335,13 +445,10 @@ impl Pump {
                 id,
                 Conn {
                     transport,
-                    decoder: FrameDecoder::new(),
-                    inflight: Arc::new(AtomicUsize::new(0)),
-                    kill: Arc::new(AtomicBool::new(false)),
+                    lane: IngestLane::new(id, self.budget, self.capture.clone()),
                     signalled,
                     #[cfg(unix)]
                     fd,
-                    dead: false,
                 },
             );
             // Registration re-notifies for frames that arrived before
@@ -356,7 +463,7 @@ impl Pump {
     fn drain_cycle(&mut self, ready: Vec<u32>) {
         let mut ids = ready;
         for (&id, c) in &self.conns {
-            if c.dead || c.signalled {
+            if !c.lane.is_open() || c.signalled {
                 continue;
             }
             #[cfg(unix)]
@@ -374,88 +481,37 @@ impl Pump {
         }
     }
 
+    /// Reads everything `id`'s transport has buffered through its
+    /// lane, handing each admitted message to the connection's worker.
     fn drain_conn(&mut self, id: u32) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if conn.dead {
-            return;
-        }
-        loop {
-            if conn.kill.load(Ordering::Acquire) {
-                conn.dead = true;
-                return;
-            }
+        let worker = &self.txs[id as usize % self.txs.len()];
+        while conn.lane.is_open() {
             match conn.transport.recv(Duration::ZERO) {
                 Ok(chunk) => {
                     let arrival = self.clock.now();
-                    conn.decoder.push(&chunk);
-                    loop {
-                        if conn.kill.load(Ordering::Acquire) {
-                            conn.dead = true;
-                            return;
-                        }
-                        let step = match &self.capture {
-                            Some(cap) => conn.decoder.next_message_and_frame().map(|opt| {
-                                opt.map(|(msg, frame)| {
-                                    // Best-effort: a full capture disk
-                                    // must not down the fleet.
-                                    let _ = cap.lock().record(arrival, id, &frame);
-                                    msg
-                                })
-                            }),
-                            None => conn.decoder.next_message(),
-                        };
-                        match step {
-                            Ok(Some(msg)) => {
-                                if conn.inflight.load(Ordering::Acquire) >= self.budget {
-                                    // Shed the newest decode: the
-                                    // firehosing connection pays for
-                                    // its own backlog.
-                                    obs::incr("fleet.agg.inflight_dropped", 1);
-                                    continue;
-                                }
-                                conn.inflight.fetch_add(1, Ordering::AcqRel);
-                                let worker = id as usize % self.txs.len();
-                                let job = Job {
-                                    conn_id: id,
-                                    msg,
-                                    inflight: Arc::clone(&conn.inflight),
-                                    kill: Arc::clone(&conn.kill),
-                                };
-                                if self.txs[worker].send(job).is_err() {
-                                    conn.dead = true;
-                                    return;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(_) => {
-                                // Framing is unrecoverable mid-stream:
-                                // drop the connection, the agent
-                                // redials.
-                                obs::incr("fleet.agg.decode_errors", 1);
-                                conn.dead = true;
-                                return;
-                            }
+                    conn.lane.push(&chunk);
+                    while let Some(msg) = conn.lane.admit(arrival) {
+                        if worker.send(msg).is_err() {
+                            conn.lane.close();
                         }
                     }
                 }
                 Err(TransportError::TimedOut) => return,
-                Err(_) => {
-                    conn.dead = true;
-                    return;
-                }
+                Err(_) => conn.lane.close(),
             }
         }
     }
 
-    /// Closes and forgets connections that died or were condemned by
-    /// a worker's sentinel verdict.
+    /// Closes and forgets connections whose stream ended or whose
+    /// lane a worker's sentinel verdict dropped.
     fn reap(&mut self) {
         let doomed: Vec<u32> = self
             .conns
             .iter()
-            .filter(|(_, c)| c.dead || c.kill.load(Ordering::Acquire))
+            .filter(|(_, c)| !c.lane.is_open())
             .map(|(&id, _)| id)
             .collect();
         for id in doomed {
@@ -463,5 +519,29 @@ impl Pump {
                 conn.transport.close();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sentinel::Disposition;
+    use crate::wire::encode;
+
+    #[test]
+    fn a_drop_verdict_discards_the_queued_tail_and_stops_the_lane() {
+        let hello = |pole_id| encode(&Message::Hello { pole_id });
+        let mut lane = IngestLane::new(1, 8, None);
+        lane.push(&[hello(0), hello(1)].concat());
+        let first = lane.admit(Duration::ZERO).expect("first");
+        let second = lane.admit(Duration::ZERO).expect("second");
+        assert!(first.fuse(|_, _| IngestVerdict {
+            disposition: Disposition::Reject,
+            drop_connection: true,
+        }));
+        assert!(!lane.is_open());
+        assert!(!second.fuse(|_, _| panic!("a dropped connection's tail must not fuse")));
+        lane.push(&hello(2));
+        assert!(lane.admit(Duration::ZERO).is_none());
     }
 }

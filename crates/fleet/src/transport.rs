@@ -3,9 +3,9 @@
 //! Two implementations share one [`Transport`] trait:
 //!
 //! - **TCP** ([`TcpTransport`] / [`TcpConnector`]) over `std::net`,
-//!   for real deployments — Nagle off, bounded read timeouts so the
-//!   aggregator's per-connection reader can enforce heartbeat
-//!   deadlines.
+//!   for real deployments — Nagle off, blocking reads with bounded
+//!   timeouts on the pole side, non-blocking reads behind `poll(2)`
+//!   in the aggregator's reactor.
 //! - **Loopback** ([`LoopbackHub`] / [`loopback_pair`]), an
 //!   in-process channel with *seeded* loss, reorder, and delay. The
 //!   fault pattern is drawn from a per-endpoint `StdRng`, so a test
@@ -176,10 +176,10 @@ impl TcpTransport {
         })
     }
 
-    /// Switches the socket between blocking reads (thread-per-
-    /// connection readers) and non-blocking reads (reactor sources,
-    /// where readiness comes from `poll(2)` and `recv` must only
-    /// drain what the kernel already buffered).
+    /// Switches the socket between blocking reads (the default) and
+    /// non-blocking reads (reactor sources, where readiness comes from
+    /// `poll(2)` and `recv` must only drain what the kernel already
+    /// buffered).
     pub fn set_nonblocking(&mut self, on: bool) -> Result<(), TransportError> {
         self.stream
             .set_nonblocking(on)

@@ -22,12 +22,13 @@
 //! `GET /history?res=1s|10s|1m` ring-buffer rollups, straight off the
 //! aggregator's lock-free snapshot cell.
 //!
-//! `--capture PATH` records every inbound frame with its arrival
-//! metadata; replay it later through `fleet::replay` to reproduce the
-//! run's snapshots bit-exactly. `--checkpoint PATH` restores fused
-//! state from PATH when it exists, checkpoints in the background every
-//! 2 s, and writes a final checkpoint on exit — so a second invocation
-//! resumes with poles still known instead of a cold campus.
+//! `--capture PATH` records every frame the aggregator's reactor
+//! admits, with its arrival metadata; replay it later through
+//! `fleet::replay` to reproduce the run's snapshots bit-exactly.
+//! `--checkpoint PATH` restores fused state from PATH when it exists,
+//! checkpoints in the background every 2 s, and writes a final
+//! checkpoint on exit — so a second invocation resumes with poles
+//! still known instead of a cold campus.
 //!
 //! Poles stand every 15 m down a shared corridor with a 23 m region
 //! of interest each, so neighbouring poles watch overlapping stretches
@@ -187,7 +188,8 @@ fn main() {
         })
         .collect();
 
-    // The campus side: one aggregator, one reader thread per pole.
+    // The campus side: one aggregator; its reactor (spawned below)
+    // ingests every pole's link.
     let hub = LoopbackHub::new();
     let mut aggregator = Aggregator::new(registry, walkway, AggregatorConfig::default());
     if let Some(path) = &args.capture {

@@ -15,16 +15,23 @@
 //! ```text
 //! cargo test --release --test capture_replay -- --ignored regenerate
 //! ```
+//!
+//! Two pins on the live side: a reactor records exactly the frames it
+//! hands to fusion (never the ones it sheds), and a joined reactor
+//! leaves its capture file complete on disk.
 
 use std::path::PathBuf;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use counting::{EpsRung, HealthState, PrecisionRung};
 use fleet::{
-    encode, read_capture, replay, CaptureRecord, CaptureWriter, ClusterObservation, FusionConfig,
-    Heartbeat, Message, PoleReport,
+    encode, load_capture, loopback_pair, read_capture, replay, Aggregator, AggregatorConfig,
+    CampusSnapshot, CaptureRecord, CaptureWriter, ClusterObservation, FusionConfig, Heartbeat,
+    LoopbackConfig, Message, PoleReport, Transport, TransportError,
 };
 use geom::Point3;
+use obs::ManualClock;
 use world::{corridor_layout, PoleRegistry, WalkwayConfig};
 
 const SPACING_M: f64 = 15.0;
@@ -176,6 +183,132 @@ fn replay_is_bit_identical_across_thread_counts() {
             "replay at {threads} threads diverged from the golden"
         );
     }
+}
+
+/// Pole 0's report `seq` without a capture stamp, so a long burst on a
+/// pinned clock never trips the sentinel's clock-skew check.
+fn burst_report(seq: u64) -> Vec<u8> {
+    let Message::Report(r) = report(0, seq, &[(14.0, 0.0)]) else {
+        unreachable!("report() builds reports")
+    };
+    encode(&Message::Report(PoleReport {
+        capture_ms: None,
+        ..r
+    }))
+}
+
+/// A one-pole campus on a pinned manual clock.
+fn one_pole_aggregator(cfg: AggregatorConfig, writer: CaptureWriter) -> Aggregator {
+    let registry = PoleRegistry::from_poses(corridor_layout(1, SPACING_M));
+    let clock = ManualClock::new().handle();
+    Aggregator::with_clock(registry, WalkwayConfig::default(), cfg, clock).with_capture(writer)
+}
+
+/// Asserts `records` hold exactly the messages `aggregator` handed to
+/// fusion and replay to its live campus; returns that message count.
+fn assert_capture_replays_live(aggregator: &Aggregator, records: &[CaptureRecord]) -> u64 {
+    let stats = aggregator.stats();
+    assert_eq!((stats.rejected, stats.quarantined), (0, 0), "honest pole");
+    let fused = stats.hellos + stats.reports + stats.stale_discards;
+    assert_eq!(
+        records.len() as u64,
+        fused,
+        "the capture must hold exactly the messages handed to fusion"
+    );
+    let registry = PoleRegistry::from_poses(corridor_layout(1, SPACING_M));
+    let replayed = replay(
+        records,
+        registry,
+        WalkwayConfig::default(),
+        FusionConfig::default(),
+        1,
+        Duration::ZERO,
+    );
+    assert_eq!(
+        replayed.last().map(CampusSnapshot::to_json),
+        Some(aggregator.snapshot().to_json()),
+        "replaying the capture must reproduce the live campus"
+    );
+    fused
+}
+
+#[test]
+fn a_shedding_reactor_captures_exactly_what_it_fused() {
+    let cfg = AggregatorConfig {
+        inflight_budget: 1,
+        reactor_workers: 1,
+        ..AggregatorConfig::default()
+    };
+    let (writer, captured) = CaptureWriter::in_memory();
+    let aggregator = one_pole_aggregator(cfg, writer);
+    let (mut client, server) = loopback_pair(LoopbackConfig::reliable());
+    client
+        .send(&encode(&Message::Hello { pole_id: 0 }))
+        .unwrap();
+    for seq in 1..=2_000 {
+        client.send(&burst_report(seq)).unwrap();
+    }
+    let reactor = aggregator.spawn_reactor();
+    aggregator.add_connection(Box::new(server));
+    aggregator.stop();
+    reactor.join();
+
+    let records = read_capture(&captured.lock()).expect("own capture parses");
+    let fused = assert_capture_replays_live(&aggregator, &records);
+    assert!(
+        fused < 2_001,
+        "budget 1 under a 2,001-frame burst must shed"
+    );
+}
+
+/// Holds its one chunk until the test has met it twice at `gate`:
+/// once to learn the pump is inside the read, once to release it.
+struct GatedTransport {
+    bytes: Option<Vec<u8>>,
+    gate: Arc<Barrier>,
+}
+
+impl Transport for GatedTransport {
+    fn send(&mut self, _frame: &[u8]) -> Result<(), TransportError> {
+        Err(TransportError::Closed)
+    }
+
+    fn recv(&mut self, _timeout: Duration) -> Result<Vec<u8>, TransportError> {
+        let bytes = self.bytes.take().ok_or(TransportError::Closed)?;
+        self.gate.wait();
+        self.gate.wait();
+        Ok(bytes)
+    }
+
+    fn close(&mut self) {}
+}
+
+#[test]
+fn a_joined_reactor_leaves_a_complete_capture_file() {
+    let path = std::env::temp_dir().join(format!("hawc-capture-{}.hwcr", std::process::id()));
+    let writer = CaptureWriter::create(&path).expect("create capture file");
+    let aggregator = one_pole_aggregator(AggregatorConfig::default(), writer);
+    let mut bytes = encode(&Message::Hello { pole_id: 0 });
+    for seq in 1..=50 {
+        bytes.extend(burst_report(seq));
+    }
+    let gate = Arc::new(Barrier::new(2));
+    let reactor = aggregator.spawn_reactor();
+    aggregator.add_connection(Box::new(GatedTransport {
+        bytes: Some(bytes),
+        gate: Arc::clone(&gate),
+    }));
+    // Stop while the pump is mid-read, so every frame is recorded
+    // after `stop` returns.
+    gate.wait();
+    aggregator.stop();
+    gate.wait();
+    reactor.join();
+
+    // Read the file while the aggregator, and its writer, still live.
+    let on_disk = load_capture(&path).expect("capture file parses");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(assert_capture_replays_live(&aggregator, &on_disk), 51);
 }
 
 /// Rewrites the fixture and its golden. Run only after an intentional

@@ -1,7 +1,7 @@
 //! Fleet-tier integration: a campus of pole agents over lossy
-//! loopback links into one aggregator.
+//! loopback links into one aggregator's reactor.
 //!
-//! Pins the PR's three load-bearing claims:
+//! Pins three load-bearing claims:
 //!
 //! 1. **Convergence** — 8 poles on a shared corridor, 10% frame loss
 //!    and pairwise reorder, fuse to exactly the constructed ground
@@ -11,15 +11,17 @@
 //! 3. **Determinism** — the fused snapshot is bit-identical whether
 //!    the agents ran on one thread or eight, and whether the links
 //!    reordered or not-at-all, because fusion is keyed per pole and
-//!    last-sequence-wins.
+//!    last-sequence-wins. The reactor, at any worker or shard count,
+//!    fuses exactly what a lone `FusionCore` replays from the
+//!    reactor's own capture.
 
 use std::time::Duration;
 
 use counting::{CounterConfig, CrowdCounter, SupervisedCounter, SupervisorConfig};
 use dataset::{ClassLabel, CloudClassifier};
 use fleet::{
-    AgentConfig, Aggregator, AggregatorConfig, CampusSnapshot, FusionConfig, FusionCore,
-    LoopbackConfig, LoopbackHub, PoleAgent,
+    read_capture, replay, AgentConfig, Aggregator, AggregatorConfig, CampusSnapshot, CaptureRecord,
+    CaptureWriter, FusionConfig, LoopbackConfig, LoopbackHub, PoleAgent,
 };
 use geom::Point3;
 use hawc_cc::prelude::*;
@@ -112,11 +114,42 @@ fn make_agent(
     PoleAgent::new(counter, Box::new(hub.connector(link)), cfg)
 }
 
-fn make_aggregator(poles: usize, clock: &ManualClock) -> Aggregator {
-    let registry = PoleRegistry::from_poses(corridor_layout(poles, SPACING_M));
-    let core = FusionCore::new(registry, WalkwayConfig::default(), FusionConfig::default())
-        .with_clock(clock.handle());
-    Aggregator::with_core(core, AggregatorConfig::default())
+fn registry(poles: usize) -> PoleRegistry {
+    PoleRegistry::from_poses(corridor_layout(poles, SPACING_M))
+}
+
+/// An aggregator on `clock` with `reactor_workers` fusion workers and
+/// `fusion_shards` zone shards (0 = auto: one core below 64 poles).
+fn make_aggregator(
+    poles: usize,
+    clock: &ManualClock,
+    reactor_workers: usize,
+    fusion_shards: usize,
+) -> Aggregator {
+    let cfg = AggregatorConfig {
+        reactor_workers,
+        fusion_shards,
+        ..AggregatorConfig::default()
+    };
+    Aggregator::with_clock(
+        registry(poles),
+        WalkwayConfig::default(),
+        cfg,
+        clock.handle(),
+    )
+}
+
+/// Adopts connections into the reactor as `poles` agents dial in.
+fn adopt(aggregator: &Aggregator, hub: &LoopbackHub, poles: usize) {
+    let mut adopted = 0;
+    let accept_deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while adopted < poles && std::time::Instant::now() < accept_deadline {
+        if let Ok(server) = hub.accept(Duration::from_millis(20)) {
+            aggregator.add_connection(Box::new(server));
+            adopted += 1;
+        }
+    }
+    assert_eq!(adopted, poles, "every pole must reach the hub");
 }
 
 /// Polls until the aggregator's ingest counters stop moving.
@@ -134,30 +167,57 @@ fn drain(aggregator: &Aggregator) {
     }
 }
 
+/// A finished campus run: the snapshot of a joined reactor, and the
+/// reactor's own wire capture.
+struct Run {
+    snap: CampusSnapshot,
+    capture: Vec<CaptureRecord>,
+}
+
+impl Run {
+    /// The campus a lone `FusionCore` replays from this run's capture.
+    fn replayed(&self, poles: usize) -> CampusSnapshot {
+        replay(
+            &self.capture,
+            registry(poles),
+            WalkwayConfig::default(),
+            FusionConfig::default(),
+            1,
+            Duration::ZERO,
+        )
+        .pop()
+        .expect("replay ends on a snapshot")
+    }
+}
+
 /// Runs `poles` agents for `frames` each over links built by `link_for`,
-/// either on the calling thread or one thread per agent, and returns
-/// the drained snapshot. `telemetry_every` sets the agents' telemetry
-/// window cadence (0 = off).
-fn run_campus(
+/// either on the calling thread or one thread per agent, into a
+/// capturing reactor with `workers` workers over `shards` fusion
+/// shards (0 = auto for both). `telemetry_every` sets the agents'
+/// telemetry window cadence (0 = off).
+fn run_reactor(
     poles: usize,
     frames: usize,
     threaded: bool,
     telemetry_every: u64,
+    workers: usize,
+    shards: usize,
     link_for: impl Fn(u32) -> LoopbackConfig,
-) -> CampusSnapshot {
+) -> Run {
     let clock = ManualClock::new();
     let hub = LoopbackHub::new();
-    let aggregator = make_aggregator(poles, &clock);
+    let (writer, captured) = CaptureWriter::in_memory();
+    let aggregator = make_aggregator(poles, &clock, workers, shards).with_capture(writer);
+    let reactor = aggregator.spawn_reactor();
     let mut agents: Vec<PoleAgent<HeightRule>> = (0..poles)
         .map(|i| make_agent(i as u32, &clock, &hub, link_for(i as u32), telemetry_every))
         .collect();
 
-    let mut readers = Vec::new();
-    let mut workers = Vec::new();
+    let mut stepping = Vec::new();
     if threaded {
         for (i, mut agent) in agents.drain(..).enumerate() {
             let capture = capture_for(i, poles);
-            workers.push(std::thread::spawn(move || {
+            stepping.push(std::thread::spawn(move || {
                 for _ in 0..frames {
                     agent.step(&capture);
                 }
@@ -172,22 +232,30 @@ fn run_campus(
             }
         }
     }
-    // Adopt connections as the agents dial in.
-    let accept_deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while readers.len() < poles && std::time::Instant::now() < accept_deadline {
-        if let Ok(server) = hub.accept(Duration::from_millis(20)) {
-            readers.push(aggregator.spawn_connection(Box::new(server)));
-        }
-    }
-    assert_eq!(readers.len(), poles, "every pole must reach the hub");
-    let _agents: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-    drain(&aggregator);
-    let snap = aggregator.snapshot();
+    adopt(&aggregator, &hub, poles);
+    agents.extend(stepping.into_iter().map(|t| t.join().unwrap()));
+    // Stop and join before reading: a joined reactor has fused every
+    // frame it admitted and flushed its capture, so the snapshot needs
+    // no grace period. The agents stay up until then — a dropped
+    // uplink would read as a dying pole.
     aggregator.stop();
-    for r in readers {
-        let _ = r.join();
+    reactor.join();
+    let capture = read_capture(&captured.lock()).expect("own capture parses");
+    Run {
+        snap: aggregator.snapshot(),
+        capture,
     }
-    snap
+}
+
+/// [`run_reactor`] at the auto worker and shard counts, snapshot only.
+fn run_campus(
+    poles: usize,
+    frames: usize,
+    threaded: bool,
+    telemetry_every: u64,
+    link_for: impl Fn(u32) -> LoopbackConfig,
+) -> CampusSnapshot {
+    run_reactor(poles, frames, threaded, telemetry_every, 0, 0, link_for).snap
 }
 
 #[test]
@@ -219,7 +287,8 @@ fn killing_one_agent_flips_only_that_pole_dead() {
     let victim = 3u32;
     let clock = ManualClock::new();
     let hub = LoopbackHub::new();
-    let aggregator = make_aggregator(poles, &clock);
+    let aggregator = make_aggregator(poles, &clock, 0, 0);
+    let reactor = aggregator.spawn_reactor();
     let mut agents: Vec<PoleAgent<HeightRule>> = (0..poles)
         .map(|i| {
             make_agent(
@@ -239,13 +308,7 @@ fn killing_one_agent_flips_only_that_pole_dead() {
             agent.step(capture);
         }
     }
-    let mut readers = Vec::new();
-    let accept_deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while readers.len() < poles && std::time::Instant::now() < accept_deadline {
-        if let Ok(server) = hub.accept(Duration::from_millis(20)) {
-            readers.push(aggregator.spawn_connection(Box::new(server)));
-        }
-    }
+    adopt(&aggregator, &hub, poles);
     drain(&aggregator);
     let before = aggregator.snapshot();
     assert_eq!(before.live, poles as u32);
@@ -280,6 +343,8 @@ fn killing_one_agent_flips_only_that_pole_dead() {
     // seen by the neighbours, so occupancy drops by exactly one.
     assert_eq!(after.occupancy, (2 * poles - 1) as u32 - 1);
     assert!(after.people.iter().all(|p| !p.observers.contains(&victim)));
+    aggregator.stop();
+    reactor.join();
 }
 
 #[test]
@@ -340,7 +405,8 @@ fn scoreboard_rolls_up_telemetry_and_traces_every_report() {
     let frames = 8usize;
     let clock = ManualClock::new();
     let hub = LoopbackHub::new();
-    let aggregator = make_aggregator(poles, &clock);
+    let aggregator = make_aggregator(poles, &clock, 0, 0);
+    let reactor = aggregator.spawn_reactor();
     let mut agents: Vec<PoleAgent<HeightRule>> = (0..poles)
         .map(|i| make_agent(i as u32, &clock, &hub, LoopbackConfig::reliable(), 2))
         .collect();
@@ -350,17 +416,11 @@ fn scoreboard_rolls_up_telemetry_and_traces_every_report() {
             agent.step(capture);
         }
     }
-    let mut readers = Vec::new();
-    let accept_deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while readers.len() < poles && std::time::Instant::now() < accept_deadline {
-        if let Ok(server) = hub.accept(Duration::from_millis(20)) {
-            readers.push(aggregator.spawn_connection(Box::new(server)));
-        }
-    }
-    drain(&aggregator);
-    // Telemetry frames trail the watched ingest counters; give the
-    // readers a beat to finish them too.
-    std::thread::sleep(Duration::from_millis(50));
+    adopt(&aggregator, &hub, poles);
+    // A joined reactor has fused every delivered frame, telemetry
+    // included.
+    aggregator.stop();
+    reactor.join();
 
     let health = aggregator.health();
     assert_eq!(health.poles.len(), poles);
@@ -401,75 +461,18 @@ fn scoreboard_rolls_up_telemetry_and_traces_every_report() {
     assert!(table.contains("campus ingest"));
     let json = health.to_json();
     assert_eq!(json.matches('{').count(), json.matches('}').count());
-
-    aggregator.stop();
-    for r in readers {
-        let _ = r.join();
-    }
-}
-
-/// Like [`run_campus`], but ingesting through the event-driven
-/// reactor (`spawn_reactor` + `add_connection`) instead of a reader
-/// thread per connection. `shards` = 0 keeps a single fusion shard.
-/// The inflight budget is raised past any possible backlog so shed
-/// policy differences can never enter a determinism comparison.
-fn run_campus_reactor(
-    poles: usize,
-    frames: usize,
-    workers: usize,
-    shards: usize,
-    link_for: impl Fn(u32) -> LoopbackConfig,
-) -> CampusSnapshot {
-    let clock = ManualClock::new();
-    let hub = LoopbackHub::new();
-    let cfg = AggregatorConfig {
-        reactor_workers: workers,
-        fusion_shards: shards,
-        inflight_budget: 1 << 20,
-        ..Default::default()
-    };
-    let registry = PoleRegistry::from_poses(corridor_layout(poles, SPACING_M));
-    let aggregator =
-        fleet::Aggregator::with_clock(registry, WalkwayConfig::default(), cfg, clock.handle());
-    let handle = aggregator.spawn_reactor();
-
-    let mut agents: Vec<PoleAgent<HeightRule>> = (0..poles)
-        .map(|i| make_agent(i as u32, &clock, &hub, link_for(i as u32), 0))
-        .collect();
-    let captures: Vec<PointCloud> = (0..poles).map(|i| capture_for(i, poles)).collect();
-    for _ in 0..frames {
-        for (agent, capture) in agents.iter_mut().zip(&captures) {
-            agent.step(capture);
-        }
-    }
-
-    let mut adopted = 0usize;
-    let accept_deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while adopted < poles && std::time::Instant::now() < accept_deadline {
-        if let Ok(server) = hub.accept(Duration::from_millis(20)) {
-            aggregator.add_connection(Box::new(server));
-            adopted += 1;
-        }
-    }
-    assert_eq!(adopted, poles, "every pole must reach the hub");
-    drain(&aggregator);
-    // Stop and join before reading: a joined reactor has fused every
-    // frame it accepted, so the snapshot needs no grace period.
-    aggregator.stop();
-    handle.join();
-    aggregator.snapshot()
 }
 
 #[test]
-fn reactor_ingest_is_bit_identical_to_reader_threads() {
+fn reactor_ingest_is_bit_identical_to_replay_of_its_own_capture() {
     let link = |id: u32| LoopbackConfig::lossy(0.10, 0.08, 0xFEED ^ u64::from(id));
-    let threaded = run_campus(8, 20, false, 0, link);
     for workers in [1usize, 4] {
-        let reactor = run_campus_reactor(8, 20, workers, 0, link);
+        let run = run_reactor(8, 20, false, 0, workers, 0, link);
+        assert!(!run.capture.is_empty(), "the reactor recorded its traffic");
         assert_eq!(
-            threaded.to_json(),
-            reactor.to_json(),
-            "reactor at {workers} workers must fuse bit-identically to reader threads"
+            run.snap.to_json(),
+            run.replayed(8).to_json(),
+            "reactor at {workers} workers must fuse exactly what its own capture replays to"
         );
     }
 }
@@ -478,12 +481,17 @@ fn reactor_ingest_is_bit_identical_to_reader_threads() {
 fn zone_sharded_reactor_matches_the_single_core_campus() {
     let link = |_: u32| LoopbackConfig::reliable();
     let single = run_campus(8, 20, false, 0, link);
-    let sharded = run_campus_reactor(8, 20, 4, 4, link);
+    let sharded = run_reactor(8, 20, false, 0, 4, 4, link);
+    assert_eq!(
+        sharded.snap.to_json(),
+        sharded.replayed(8).to_json(),
+        "4 shards must fuse exactly what one core replays from the same capture"
+    );
     assert_eq!(
         single.to_json(),
-        sharded.to_json(),
+        sharded.snap.to_json(),
         "zone sharding must not perturb the fused campus"
     );
     let expected = (2 * 8 - 1) as u32;
-    assert_eq!(sharded.occupancy, expected);
+    assert_eq!(sharded.snap.occupancy, expected);
 }

@@ -189,8 +189,9 @@ fn killed_aggregator_restarts_warm_from_checkpoint_file() {
 
     let clock = ManualClock::new();
     let aggregator = Aggregator::with_core(core_with(&clock, 3), AggregatorConfig::default());
+    let reactor = aggregator.spawn_reactor();
     let (mut client, server) = loopback_pair(LoopbackConfig::reliable());
-    let reader = aggregator.spawn_connection(Box::new(server));
+    aggregator.add_connection(Box::new(server));
     for seq in 1..=5u64 {
         client
             .send(&encode(&report(0, seq, &[(14.0, 0.0)])))
@@ -199,7 +200,7 @@ fn killed_aggregator_restarts_warm_from_checkpoint_file() {
             .send(&encode(&report(1, seq, &[(14.0, 0.5)])))
             .unwrap();
     }
-    // Wait for the reader thread to drain both streams.
+    // Wait for the reactor to drain both streams.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while aggregator.stats().reports < 10 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
@@ -209,10 +210,10 @@ fn killed_aggregator_restarts_warm_from_checkpoint_file() {
     let before = aggregator.snapshot();
     assert_eq!((before.occupancy, before.live), (2, 2));
 
-    // "Kill": no Byes, no orderly drain — just stop reading and drop.
+    // "Kill": no Byes — just stop reading and drop.
     aggregator.stop();
     client.close();
-    let _ = reader.join();
+    reactor.join();
     drop(aggregator);
 
     // A brand-new aggregator on the same clock restores the campus.
@@ -227,8 +228,9 @@ fn killed_aggregator_restarts_warm_from_checkpoint_file() {
 
     // And it keeps fusing: the poles' next reports are accepted as
     // continuations, not cold starts.
+    let reactor = restarted.spawn_reactor();
     let (mut client, server) = loopback_pair(LoopbackConfig::reliable());
-    let reader = restarted.spawn_connection(Box::new(server));
+    restarted.add_connection(Box::new(server));
     client
         .send(&encode(&report(0, 6, &[(14.0, 0.0), (20.0, 0.0)])))
         .unwrap();
@@ -245,6 +247,6 @@ fn killed_aggregator_restarts_warm_from_checkpoint_file() {
     );
     restarted.stop();
     client.close();
-    let _ = reader.join();
+    reactor.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
