@@ -1336,17 +1336,31 @@ impl ShardedFusion {
         self.ingest_from(0, msg);
     }
 
-    /// Builds the campus view by gathering every shard at one instant
-    /// and assembling once (cross-shard seam people merge here), then
-    /// publishes it to the snapshot cell.
-    pub fn snapshot(&self) -> CampusSnapshot {
+    /// The campus view: every shard gathered at one instant and
+    /// assembled once (cross-shard seam people merge here).
+    fn assemble(&self) -> CampusSnapshot {
         let now = self.clock.now();
         let gathers = self
             .shards
             .iter()
             .map(|s| s.lock().gather(now))
             .collect::<Vec<_>>();
-        let snap = assemble_snapshot(&self.cfg, now, gathers);
+        assemble_snapshot(&self.cfg, now, gathers)
+    }
+
+    /// Assembles the campus view and publishes it to the snapshot
+    /// cell, returning the published handle.
+    pub fn publish(&self) -> Arc<CampusSnapshot> {
+        let snap = Arc::new(self.assemble());
+        self.cell.publish(Arc::clone(&snap));
+        snap
+    }
+
+    /// Like [`ShardedFusion::publish`], but returns an owned view. The
+    /// copy is made before the publish wakes the cell's readers, so it
+    /// never competes with them for a core.
+    pub fn snapshot(&self) -> CampusSnapshot {
+        let snap = self.assemble();
         self.cell.publish(Arc::new(snap.clone()));
         snap
     }
@@ -1357,7 +1371,7 @@ impl ShardedFusion {
         self.cell.read()
     }
 
-    /// The publish epoch (bumps once per [`ShardedFusion::snapshot`]).
+    /// The publish epoch (bumps once per [`ShardedFusion::publish`]).
     pub fn publish_epoch(&self) -> u64 {
         self.cell.epoch()
     }
@@ -1706,7 +1720,7 @@ impl Aggregator {
 
     /// Appends the current snapshot as one JSONL line.
     pub fn export_jsonl(&self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
-        writeln!(out, "{}", self.snapshot().to_json())
+        writeln!(out, "{}", self.fusion.publish().to_json())
     }
 
     /// The current campus health scoreboard.

@@ -30,6 +30,19 @@
 //!
 //! Transports that can neither signal readiness nor expose a
 //! descriptor are swept once per tick — correct, just not as idle.
+//!
+//! # When it publishes
+//!
+//! A fused report is stale until a snapshot carrying it reaches the
+//! [`crate::SnapshotCell`], so the pump publishes on change, not on a
+//! timer: each worker marks the fused state dirty after a fuse and
+//! pings the pump on the clean→dirty edge, and the pump publishes once
+//! the state is dirty and [`MIN_PUBLISH_GAP`] has passed since the
+//! last publish (or since the reactor started, so a campus dialling in
+//! never pays for a publish per connection). It parks no longer than
+//! the due publish. A clean campus still publishes every
+//! [`PUBLISH_EVERY`]: liveness walks Live → Stale → Dead on the clock
+//! alone, with no fuse to mark it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -53,9 +66,15 @@ const INTAKE_TOKEN: u64 = u64::MAX;
 /// and the sweep cadence for transports that cannot signal.
 pub(crate) const TICK: Duration = Duration::from_millis(50);
 
-/// How often the pump publishes a snapshot to the aggregator's
-/// [`crate::SnapshotCell`].
+/// The idle heartbeat: the longest the pump goes without publishing,
+/// so clock-driven liveness changes surface on a quiet campus.
 const PUBLISH_EVERY: Duration = Duration::from_millis(250);
+
+/// The least time between two publishes of dirty state: a fifth of a
+/// pole's 100 ms frame period, so a publish is never far behind a
+/// fuse, yet a 256-pole campus reporting at 10 Hz costs at most 50
+/// publishes a second, not 2560.
+const MIN_PUBLISH_GAP: Duration = Duration::from_millis(20);
 
 /// What a lane shares with the messages it has admitted.
 #[derive(Debug, Default)]
@@ -197,11 +216,13 @@ impl Admitted {
 }
 
 /// Where new connections land before the pump adopts them, plus the
-/// signal the whole reactor parks on.
+/// signal the whole reactor parks on and the dirty mark workers set.
 pub(crate) struct Intake {
     pub(crate) signal: Arc<ReadySignal>,
     pending: Mutex<Vec<(u32, Box<dyn Transport>)>>,
     next_conn: AtomicU32,
+    /// Fused state changed since the pump last took it.
+    dirty: AtomicBool,
 }
 
 impl std::fmt::Debug for Intake {
@@ -219,6 +240,7 @@ impl Intake {
             pending: Mutex::new(Vec::new()),
             // Connection ids are 1-based; 0 is "direct ingest".
             next_conn: AtomicU32::new(1),
+            dirty: AtomicBool::new(false),
         }
     }
 
@@ -239,6 +261,24 @@ impl Intake {
 
     fn drain(&self) -> Vec<(u32, Box<dyn Transport>)> {
         std::mem::take(&mut *self.pending.lock())
+    }
+
+    /// Marks fused state changed, waking the pump on the clean→dirty
+    /// edge only: one ping per publish however many fuses land.
+    fn mark_dirty(&self) {
+        if !self.dirty.load(Ordering::Acquire) && !self.dirty.swap(true, Ordering::AcqRel) {
+            self.poke();
+        }
+    }
+
+    fn is_dirty(&self) -> bool {
+        self.dirty.load(Ordering::Acquire)
+    }
+
+    /// Clears the mark ahead of a publish's gather: a fuse that lands
+    /// during the gather marks the state again, so it is never lost.
+    fn clear_dirty(&self) {
+        self.dirty.store(false, Ordering::Release);
     }
 }
 
@@ -273,14 +313,19 @@ impl ReactorHandle {
     }
 }
 
-fn worker_loop(fusion: Arc<ShardedFusion>, rx: mpsc::Receiver<Admitted>, signal: Arc<ReadySignal>) {
+fn worker_loop(fusion: Arc<ShardedFusion>, rx: mpsc::Receiver<Admitted>, intake: Arc<Intake>) {
     // The pump drops its senders when it exits; draining until
     // `Disconnected` means every admitted message is fused before the
     // worker leaves, so `ReactorHandle::join` implies quiescence.
     while let Ok(msg) = rx.recv() {
-        if msg.fuse(|conn_id, m| fusion.ingest_from(conn_id, m)) {
+        let dropped = msg.fuse(|conn_id, m| {
+            let verdict = fusion.ingest_from(conn_id, m);
+            intake.mark_dirty();
+            verdict
+        });
+        if dropped {
             // Wake the pump to reap the dropped connection.
-            signal.notify(INTAKE_TOKEN);
+            intake.poke();
         }
     }
 }
@@ -301,11 +346,11 @@ pub(crate) fn spawn(ctx: ReactorContext) -> ReactorHandle {
         let (tx, rx) = mpsc::channel::<Admitted>();
         txs.push(tx);
         let fusion = Arc::clone(&ctx.fusion);
-        let signal = Arc::clone(&ctx.intake.signal);
+        let intake = Arc::clone(&ctx.intake);
         workers.push(
             std::thread::Builder::new()
                 .name(format!("fusion-worker-{w}"))
-                .spawn(move || worker_loop(fusion, rx, signal))
+                .spawn(move || worker_loop(fusion, rx, intake))
                 .expect("spawn fusion worker"),
         );
     }
@@ -353,15 +398,19 @@ struct Pump {
 
 impl Pump {
     fn run(mut self) {
+        // Counted from start, so adopting a campus's connections never
+        // pays for a publish per connection.
         let mut last_publish = Instant::now();
         while self.running.load(Ordering::SeqCst) {
-            let ready = self.wait_ready();
+            let ready = self.wait_ready(self.publish_due(last_publish));
             self.adopt();
             self.drain_cycle(ready);
             self.reap();
-            if last_publish.elapsed() >= PUBLISH_EVERY {
-                self.fusion.snapshot();
-                last_publish = Instant::now();
+            let now = Instant::now();
+            if now >= self.publish_due(last_publish) {
+                self.intake.clear_dirty();
+                self.fusion.publish();
+                last_publish = now;
             }
         }
         // Orderly shutdown: adopt stragglers, drain what has already
@@ -382,11 +431,26 @@ impl Pump {
         }
     }
 
-    /// Parks until something is ready, returning connection ids whose
-    /// readiness was signalled. Descriptor-backed connections park in
-    /// `poll(2)`; with none of those, the pump sleeps entirely on the
-    /// condvar — zero CPU while the campus is quiet.
-    fn wait_ready(&mut self) -> Vec<u32> {
+    /// When the next publish is due: [`MIN_PUBLISH_GAP`] after the
+    /// last one while fused state is dirty, the idle heartbeat
+    /// otherwise.
+    fn publish_due(&self, last_publish: Instant) -> Instant {
+        last_publish
+            + if self.intake.is_dirty() {
+                MIN_PUBLISH_GAP
+            } else {
+                PUBLISH_EVERY
+            }
+    }
+
+    /// Parks until something is ready or `due` (never longer than a
+    /// [`TICK`]), returning connection ids whose readiness was
+    /// signalled. Descriptor-backed connections park in `poll(2)`,
+    /// with the signal's waker in the poll set; with none of those,
+    /// the pump sleeps entirely on the condvar — zero CPU while the
+    /// campus is quiet.
+    fn wait_ready(&mut self, due: Instant) -> Vec<u32> {
+        let park = due.saturating_duration_since(Instant::now()).min(TICK);
         #[cfg(unix)]
         {
             let mut fd_ids: Vec<u32> = Vec::new();
@@ -405,10 +469,23 @@ impl Pump {
                 }
             }
             if !pfds.is_empty() {
-                crate::sys::poll_fds(&mut pfds, TICK);
-                // The signal is only drained (not parked on) here:
-                // poll is the park, so signalled traffic in a mixed
-                // deployment waits at most one tick.
+                // Poll is the park here, so a notify (a new
+                // connection, a fuse, `stop`) must reach it through
+                // the waker; without one it waits out the park.
+                let waker = self.intake.signal.poll_waker();
+                if let Some(w) = waker {
+                    pfds.push(crate::sys::PollFd {
+                        fd: w.fd(),
+                        events: crate::sys::POLLIN,
+                        revents: 0,
+                    });
+                }
+                crate::sys::poll_fds(&mut pfds, park);
+                if let Some(w) = waker {
+                    if pfds.pop().is_some_and(|p| p.revents != 0) {
+                        w.drain();
+                    }
+                }
                 let mut ready: Vec<u32> = self
                     .intake
                     .signal
@@ -429,7 +506,7 @@ impl Pump {
         }
         self.intake
             .signal
-            .wait(TICK)
+            .wait(park)
             .into_iter()
             .filter(|&t| t != INTAKE_TOKEN)
             .map(|t| t as u32)
@@ -525,8 +602,151 @@ impl Pump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregator::{Aggregator, AggregatorConfig, FusionConfig, FusionCore};
     use crate::sentinel::Disposition;
-    use crate::wire::encode;
+    use crate::wire::{encode, PoleReport};
+    use counting::{EpsRung, HealthState, PrecisionRung};
+    use obs::ManualClock;
+    use world::{corridor_layout, PoleRegistry, WalkwayConfig};
+
+    /// An aggregator over two registered poles on a clock pinned at 0
+    /// (fusion time never moves; the pump paces publishes on wall
+    /// time regardless).
+    fn aggregator(clock: &ManualClock) -> Aggregator {
+        let registry = PoleRegistry::from_poses(corridor_layout(2, 15.0));
+        let core = FusionCore::new(registry, WalkwayConfig::default(), FusionConfig::default())
+            .with_clock(clock.handle());
+        Aggregator::with_core(core, AggregatorConfig::default())
+    }
+
+    fn report(seq: u64) -> Vec<u8> {
+        encode(&Message::Report(PoleReport {
+            pole_id: 0,
+            seq,
+            timestamp_ms: seq * 100,
+            count: 1,
+            health: HealthState::Healthy,
+            eps_rung: EpsRung::Adaptive,
+            precision: PrecisionRung::Fp32,
+            held: false,
+            stale_frames: 0,
+            age_ms: 0.0,
+            pole_temp_c: None,
+            capture_ms: None,
+            clusters: Vec::new(),
+        }))
+    }
+
+    /// Sends pole 0's report `seq` through `send` once the last
+    /// publish has aged past the gap, and returns the time from send to
+    /// a published snapshot showing it.
+    fn publish_latency(agg: &Aggregator, seq: u64, send: &mut impl FnMut(&[u8])) -> Duration {
+        let cell = agg.snapshot_cell();
+        std::thread::sleep(MIN_PUBLISH_GAP * 3);
+        let sent = Instant::now();
+        send(&report(seq));
+        while !cell
+            .read()
+            .poles
+            .iter()
+            .any(|p| p.pole_id == 0 && p.seq >= seq)
+        {
+            assert!(
+                sent.elapsed() < Duration::from_secs(5),
+                "report {seq} never published"
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        sent.elapsed()
+    }
+
+    fn median(mut samples: Vec<Duration>) -> Duration {
+        samples.sort_unstable();
+        samples[samples.len() / 2]
+    }
+
+    /// A fused report reaches the snapshot cell within about the
+    /// publish gap, not on the idle heartbeat.
+    #[test]
+    fn a_fused_report_publishes_within_about_the_gap() {
+        let clock = ManualClock::new();
+        let agg = aggregator(&clock);
+        let reactor = agg.spawn_reactor();
+        let (mut pole, server) =
+            crate::transport::loopback_pair(crate::transport::LoopbackConfig::reliable());
+        agg.add_connection(Box::new(server));
+        let mut send = |frame: &[u8]| pole.send(frame).expect("send");
+        let median = median(
+            (1..=7)
+                .map(|seq| publish_latency(&agg, seq, &mut send))
+                .collect(),
+        );
+        assert!(
+            median <= MIN_PUBLISH_GAP * 2,
+            "median report → publish {median:?}, heartbeat {PUBLISH_EVERY:?}"
+        );
+        agg.stop();
+        reactor.join();
+    }
+
+    /// With nothing fused, the reactor still publishes on the idle
+    /// heartbeat — and only on it.
+    #[test]
+    fn an_idle_campus_publishes_every_heartbeat() {
+        let clock = ManualClock::new();
+        let agg = aggregator(&clock);
+        let reactor = agg.spawn_reactor();
+        let window = PUBLISH_EVERY * 4 + PUBLISH_EVERY / 2;
+        std::thread::sleep(window);
+        let published = agg.snapshot_cell().epoch();
+        agg.stop();
+        reactor.join();
+        assert!(
+            (3..=5).contains(&published),
+            "{published} publishes in {window:?}"
+        );
+    }
+
+    /// A TCP pole parks the pump in `poll(2)`; the signal's waker must
+    /// break that park, so a fuse publishes and `stop` lands well
+    /// inside one tick instead of at its end. Medians over five
+    /// reactors, three reports each, ride out a scheduler stall.
+    #[cfg(unix)]
+    #[test]
+    fn a_tcp_pole_publishes_and_stops_well_inside_a_tick() {
+        use std::io::Write;
+        let (mut publishes, mut stops) = (Vec::new(), Vec::new());
+        for _ in 0..5 {
+            let clock = ManualClock::new();
+            let agg = aggregator(&clock);
+            let reactor = agg.spawn_reactor();
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let accept = agg.serve_tcp(listener);
+            let mut pole = std::net::TcpStream::connect(addr).expect("connect");
+            pole.set_nodelay(true).expect("nodelay");
+            let mut send = |frame: &[u8]| pole.write_all(frame).expect("write");
+            for seq in 1..=3 {
+                publishes.push(publish_latency(&agg, seq, &mut send));
+            }
+            // Let the pump settle back into poll before stopping it.
+            std::thread::sleep(MIN_PUBLISH_GAP * 2);
+            let stopping = Instant::now();
+            agg.stop();
+            reactor.join();
+            stops.push(stopping.elapsed());
+            let _ = accept.join();
+        }
+        let (publish, stop) = (median(publishes), median(stops));
+        assert!(
+            publish < TICK / 2,
+            "median report → publish {publish:?}, tick {TICK:?}"
+        );
+        assert!(
+            stop < TICK / 2,
+            "median stop + join {stop:?}, tick {TICK:?}"
+        );
+    }
 
     #[test]
     fn a_drop_verdict_discards_the_queued_tail_and_stops_the_lane() {

@@ -64,11 +64,17 @@ impl std::error::Error for TransportError {}
 /// `ReadySignal` instead: the *sending* side pushes the source's token
 /// and pings the condvar on every delivery, and the reactor's event
 /// loop parks in [`ReadySignal::wait`] until something is actually
-/// ready — no per-connection thread, no busy polling.
+/// ready — no per-connection thread, no busy polling. A reactor that
+/// parks in `poll(2)` instead asks for [`ReadySignal::poll_waker`]
+/// and puts its descriptor in the poll set, so a notify breaks that
+/// park too.
 #[derive(Debug, Default)]
 pub struct ReadySignal {
     state: Mutex<ReadyState>,
     cv: Condvar,
+    /// Created on first request; `None` inside if the loopback pair
+    /// could not be made (the poller then falls back to its tick).
+    waker: std::sync::OnceLock<Option<crate::sys::Waker>>,
 }
 
 #[derive(Debug, Default)]
@@ -87,11 +93,26 @@ impl ReadySignal {
 
     /// Marks `token` ready and wakes any waiting reactor.
     pub fn notify(&self, token: u64) {
-        let mut state = self.state.lock();
-        if state.queued.insert(token) {
-            state.tokens.push_back(token);
+        {
+            let mut state = self.state.lock();
+            if state.queued.insert(token) {
+                state.tokens.push_back(token);
+            }
+            self.cv.notify_one();
         }
-        self.cv.notify_one();
+        if let Some(Some(waker)) = self.waker.get() {
+            waker.wake();
+        }
+    }
+
+    /// The waker every later [`ReadySignal::notify`] also fires, made
+    /// on first call; `None` if it cannot be made. A `poll(2)` parker
+    /// polls its descriptor and calls `drain` on it before
+    /// [`ReadySignal::drain`].
+    pub fn poll_waker(&self) -> Option<&crate::sys::Waker> {
+        self.waker
+            .get_or_init(|| crate::sys::Waker::new().ok())
+            .as_ref()
     }
 
     /// Blocks up to `timeout` for at least one ready token, then

@@ -2,9 +2,9 @@
 //! state, independent of any socket.
 //!
 //! [`ServeCore`] owns everything a request needs — the current
-//! snapshot and its pre-rendered JSON body, a short deque of retained
-//! epochs for `/delta` diffs, the [`HistoryRing`] — and writes
-//! responses straight into a [`Connection`]'s reusable output buffer.
+//! snapshot and its pre-rendered JSON body, the change log behind
+//! `/delta`, the [`HistoryRing`] — and writes responses straight into
+//! a [`Connection`]'s reusable output buffer.
 //! The server pump (`server.rs`) feeds it socket bytes; tests and the
 //! allocation pin drive it directly, which is what keeps the hot path
 //! auditable: one call, no threads, no I/O.
@@ -13,8 +13,18 @@
 //! publish seq (the [`fleet::SnapshotCell`] epoch). A publish bumps
 //! it by exactly one, so `If-None-Match: "<seq>"` turns an unchanged
 //! poll into a ~100-byte 304 that touches no snapshot data at all.
+//!
+//! The `/delta` window holds *changes*, not snapshots: each publish
+//! the core sees appends the people it added and removed, publishes
+//! that change nothing extend the entry before them, and entries leave
+//! from the front once the changes held outnumber the current people —
+//! past that a `reset` carrying the people is no larger than the diff.
+//! The window therefore stays near one snapshot's people at any
+//! publish rate, and a parked long-poll's answer is the newest entry,
+//! the diff computed once when the publish arrived.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -36,9 +46,6 @@ pub struct ServeConfig {
     pub zone_size_m: f64,
     /// Closed history buckets retained per tier.
     pub history_cap: usize,
-    /// Published epochs retained for `/delta` diffs; an older `since`
-    /// gets a `reset` response with the full people list.
-    pub retain_epochs: usize,
     /// Ceiling on `/delta` long-poll parking; a parked poll answers
     /// with an empty delta at the deadline.
     pub longpoll_max_ms: u64,
@@ -59,7 +66,6 @@ impl Default for ServeConfig {
             limits: HttpLimits::default(),
             zone_size_m: 20.0,
             history_cap: 720,
-            retain_epochs: 128,
             longpoll_max_ms: 10_000,
             read_deadline_ms: 5_000,
             idle_timeout_ms: 30_000,
@@ -198,6 +204,155 @@ impl Connection {
     }
 }
 
+/// What the `/delta` window holds (bounded-memory assertions).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaWindow {
+    /// The oldest `since` still answered with a diff.
+    pub oldest: u64,
+    /// Entries held, the window's base included.
+    pub entries: usize,
+    /// Person records held across every entry.
+    pub records: usize,
+}
+
+/// A stretch of publishes that showed the same people: the change the
+/// first of them made, and the last seq it stayed current through.
+#[derive(Debug)]
+struct Change {
+    /// The publish that made the change.
+    seq: u64,
+    /// The last seq known to show these people. Publishes the core
+    /// sees back to back that change nothing extend it.
+    through: u64,
+    /// People the change added and removed, each in [`identity`]
+    /// order. The window's base holds none.
+    added: Vec<FusedPerson>,
+    removed: Vec<FusedPerson>,
+}
+
+impl Change {
+    /// What holding the change costs the window: its person records,
+    /// and at least one — a stretch that follows epochs this core
+    /// never saw (a skipped publish) may hide any change.
+    fn weight(&self) -> usize {
+        (self.added.len() + self.removed.len()).max(1)
+    }
+}
+
+/// The `/delta` window. See the module docs.
+#[derive(Debug)]
+struct ChangeLog {
+    /// Oldest first. The front is the base: only the people after its
+    /// change matter, so its own change is dropped.
+    entries: VecDeque<Change>,
+    /// Weight of every entry but the base.
+    held: usize,
+}
+
+impl ChangeLog {
+    /// A log whose base is seq 0, the empty campus.
+    fn new() -> ChangeLog {
+        ChangeLog {
+            entries: VecDeque::from([Change {
+                seq: 0,
+                through: 0,
+                added: Vec::new(),
+                removed: Vec::new(),
+            }]),
+            held: 0,
+        }
+    }
+
+    /// Logs publish `seq` turning the people `prev` into `cur`, then
+    /// evicts from the front while the changes held outnumber `cur`.
+    fn record(&mut self, seq: u64, prev: &[FusedPerson], cur: &[FusedPerson]) {
+        let (added, removed) = diff_people(prev, cur);
+        let last = self.entries.back_mut().expect("the base is never evicted");
+        if added.is_empty() && removed.is_empty() && seq == last.through + 1 {
+            last.through = seq;
+        } else {
+            let change = Change {
+                seq,
+                through: seq,
+                added,
+                removed,
+            };
+            self.held += change.weight();
+            self.entries.push_back(change);
+        }
+        while self.held > cur.len() && self.entries.len() > 1 {
+            self.entries.pop_front();
+            let base = self.entries.front_mut().expect("len > 1");
+            self.held -= base.weight();
+            base.added = Vec::new();
+            base.removed = Vec::new();
+        }
+    }
+
+    /// The entries after the one showing `since`, or `None` when this
+    /// core cannot reconstruct the people at `since` (evicted, skipped,
+    /// or never published).
+    fn since(&self, since: u64) -> Option<impl Iterator<Item = &Change>> {
+        let at = self.entries.partition_point(|c| c.through < since);
+        let entry = self.entries.get(at)?;
+        (entry.seq <= since).then(|| self.entries.range(at + 1..))
+    }
+
+    fn stats(&self) -> DeltaWindow {
+        DeltaWindow {
+            oldest: self.entries.front().map_or(0, |c| c.seq),
+            entries: self.entries.len(),
+            records: self
+                .entries
+                .iter()
+                .map(|c| c.added.len() + c.removed.len())
+                .sum(),
+        }
+    }
+}
+
+/// Exact identity order of fused people for delta diffs: bitwise
+/// position and confidence, then the observer set. Fusion is
+/// deterministic, so an unchanged person reproduces these bits across
+/// epochs.
+fn identity(a: &FusedPerson, b: &FusedPerson) -> Ordering {
+    (a.x.to_bits(), a.y.to_bits(), a.confidence.to_bits())
+        .cmp(&(b.x.to_bits(), b.y.to_bits(), b.confidence.to_bits()))
+        .then_with(|| a.observers.cmp(&b.observers))
+}
+
+/// The multiset change from `prev` to `cur` as (added, removed), each
+/// in [`identity`] order: a person counts as changed exactly once
+/// however far apart the two views are.
+fn diff_people(prev: &[FusedPerson], cur: &[FusedPerson]) -> (Vec<FusedPerson>, Vec<FusedPerson>) {
+    let mut before: Vec<&FusedPerson> = prev.iter().collect();
+    let mut after: Vec<&FusedPerson> = cur.iter().collect();
+    before.sort_unstable_by(|a, b| identity(a, b));
+    after.sort_unstable_by(|a, b| identity(a, b));
+    let (mut added, mut removed) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let order = match (before.get(i), after.get(j)) {
+            (Some(p), Some(q)) => identity(p, q),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => break,
+        };
+        match order {
+            Ordering::Equal => (i, j) = (i + 1, j + 1),
+            Ordering::Less => {
+                removed.push(before[i].clone());
+                i += 1;
+            }
+            Ordering::Greater => {
+                added.push(after[j].clone());
+                j += 1;
+            }
+        }
+    }
+    (added, removed)
+}
+
 /// The serving gateway. See the module docs.
 pub struct ServeCore {
     cfg: ServeConfig,
@@ -206,7 +361,7 @@ pub struct ServeCore {
     snap: Arc<CampusSnapshot>,
     /// `{"seq":N,"campus":{…}}`, rendered once per publish.
     snapshot_body: Vec<u8>,
-    retained: VecDeque<(u64, Arc<CampusSnapshot>)>,
+    changes: ChangeLog,
     ring: HistoryRing,
     /// Reusable body scratch for endpoints rendered per request.
     scratch: Vec<u8>,
@@ -221,7 +376,7 @@ impl ServeCore {
             seq: 0,
             snap: Arc::new(CampusSnapshot::default()),
             snapshot_body: render_snapshot_body(0, &CampusSnapshot::default()),
-            retained: VecDeque::new(),
+            changes: ChangeLog::new(),
             ring: HistoryRing::new(cfg.history_cap),
             scratch: Vec::new(),
         }
@@ -237,10 +392,15 @@ impl ServeCore {
         &self.metrics
     }
 
+    /// What the `/delta` window holds right now.
+    pub fn delta_window(&self) -> DeltaWindow {
+        self.changes.stats()
+    }
+
     /// Installs a newly published snapshot: re-renders the cached
-    /// body, retains the epoch for `/delta`, and feeds the history
-    /// ring. Parked long-polls should be [`ServeCore::unpark`]ed
-    /// after this.
+    /// body, logs its people change for `/delta`, and feeds the
+    /// history ring. Parked long-polls should be
+    /// [`ServeCore::unpark`]ed after this.
     pub fn on_publish(&mut self, seq: u64, snap: Arc<CampusSnapshot>) {
         if seq <= self.seq {
             return; // stale or duplicate publish notification
@@ -248,11 +408,8 @@ impl ServeCore {
         self.seq = seq;
         self.snapshot_body = render_snapshot_body(seq, &snap);
         self.ring
-            .push(snap.at_ms, snap.occupancy, snap.people.len() as u32, seq);
-        self.retained.push_back((seq, Arc::clone(&snap)));
-        while self.retained.len() > self.cfg.retain_epochs.max(1) {
-            self.retained.pop_front();
-        }
+            .record(snap.at_ms, snap.occupancy, snap.people.len() as u32, seq);
+        self.changes.record(seq, &self.snap.people, &snap.people);
         self.snap = snap;
         self.metrics.publishes.add(1);
     }
@@ -331,20 +488,10 @@ impl ServeCore {
         }
         conn.parked = None;
         let before = conn.out.len();
-        self.render_delta(parked.since);
-        let body = std::mem::take(&mut self.scratch);
         // `close_after` was recorded when the poll parked, so the
         // Connection header matches what the owner actually does.
-        write_response(
-            &mut conn.out,
-            200,
-            Some(self.seq),
-            "application/json",
-            &body,
-            conn.close_after,
-        );
-        self.scratch = body;
-        self.metrics.r200.add(1);
+        self.render_delta(parked.since);
+        self.respond_scratch(&mut conn.out, conn.close_after);
         self.metrics.bytes_out.add((conn.out.len() - before) as u64);
         self.drain(conn)
     }
@@ -511,18 +658,11 @@ impl ServeCore {
         push_u64(&mut self.scratch, u64::from(count));
         push_str(&mut self.scratch, ",\"people\":[");
         let zone = self.cfg.zone_size_m.max(1e-9);
-        let mut first = true;
-        for p in &self.snap.people {
-            let px = (p.x / zone).floor() as i64;
-            let py = (p.y / zone).floor() as i64;
-            if px == i64::from(zx) && py == i64::from(zy) {
-                if !first {
-                    self.scratch.push(b',');
-                }
-                first = false;
-                push_person(&mut self.scratch, p);
-            }
-        }
+        let inside = |p: &&FusedPerson| {
+            (p.x / zone).floor() as i64 == i64::from(zx)
+                && (p.y / zone).floor() as i64 == i64::from(zy)
+        };
+        push_people(&mut self.scratch, self.snap.people.iter().filter(inside));
         push_str(&mut self.scratch, "]}");
     }
 
@@ -554,16 +694,12 @@ impl ServeCore {
             None => push_str(&mut self.scratch, "null"),
         }
         push_str(&mut self.scratch, ",\"people\":[");
-        let mut first = true;
-        for p in &self.snap.people {
-            if p.observers.contains(&pole_id) {
-                if !first {
-                    self.scratch.push(b',');
-                }
-                first = false;
-                push_person(&mut self.scratch, p);
-            }
-        }
+        let seen = self
+            .snap
+            .people
+            .iter()
+            .filter(|p| p.observers.contains(&pole_id));
+        push_people(&mut self.scratch, seen);
         push_str(&mut self.scratch, "]}");
     }
 
@@ -607,109 +743,49 @@ impl ServeCore {
         push_str(&mut self.scratch, "]}");
     }
 
-    /// Renders a `/delta?since=N` body into scratch: people added and
-    /// removed between retained seq `N` and the current snapshot, or
-    /// a `reset` with the full list when `N` is outside the retained
-    /// window.
+    /// Renders a `/delta?since=N` body into scratch: the people added
+    /// and removed since seq `N` (the entries after it, composed), or
+    /// a `reset` with the full list when `N` is outside the window.
     fn render_delta(&mut self, since: u64) {
-        self.scratch.clear();
-        push_str(&mut self.scratch, "{\"since\":");
-        push_u64(&mut self.scratch, since);
-        push_str(&mut self.scratch, ",\"seq\":");
-        push_u64(&mut self.scratch, self.seq);
-        if since == self.seq {
-            // Long-poll deadline with no publish: empty delta.
-            push_str(
-                &mut self.scratch,
-                ",\"reset\":false,\"added\":[],\"removed\":[]}",
-            );
+        let body = &mut self.scratch;
+        body.clear();
+        push_str(body, "{\"since\":");
+        push_u64(body, since);
+        push_str(body, ",\"seq\":");
+        push_u64(body, self.seq);
+        let Some(changes) = self.changes.since(since) else {
+            // The people at `since` are gone from the window (or were
+            // never seen here): the only sound answer is a full resync.
+            push_str(body, ",\"reset\":true,\"people\":[");
+            push_people(body, self.snap.people.iter());
+            push_str(body, "]}");
             return;
-        }
-        let base = self
-            .retained
-            .iter()
-            .find(|(seq, _)| *seq == since)
-            .map(|(_, snap)| Arc::clone(snap));
-        let base = match base {
-            Some(base) => base,
-            None => {
-                // `since` fell out of the retained window (or never
-                // existed): the only sound answer is a full resync.
-                push_str(&mut self.scratch, ",\"reset\":true,\"people\":[");
-                let snap = Arc::clone(&self.snap);
-                let mut first = true;
-                for p in &snap.people {
-                    if !first {
-                        self.scratch.push(b',');
-                    }
-                    first = false;
-                    push_person(&mut self.scratch, p);
-                }
-                push_str(&mut self.scratch, "]}");
-                return;
-            }
         };
-        // Multiset diff on exact person identity (bit-level position,
-        // confidence, observer set): a person counts as "changed"
-        // exactly once however many epochs apart the two views are.
-        let mut counts: BTreeMap<PersonKey, u32> = BTreeMap::new();
-        for p in &base.people {
-            *counts.entry(PersonKey::of(p)).or_insert(0) += 1;
+        // Net count per person over the changes: +1 per add, -1 per
+        // removal.
+        let mut net: Vec<(&FusedPerson, i64)> = Vec::new();
+        for c in changes {
+            net.extend(c.added.iter().map(|p| (p, 1)));
+            net.extend(c.removed.iter().map(|p| (p, -1)));
         }
-        let cur = Arc::clone(&self.snap);
-        push_str(&mut self.scratch, ",\"reset\":false,\"added\":[");
-        let mut first = true;
-        for p in &cur.people {
-            let key = PersonKey::of(p);
-            match counts.get_mut(&key) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => {
-                    if !first {
-                        self.scratch.push(b',');
-                    }
-                    first = false;
-                    push_person(&mut self.scratch, p);
-                }
+        net.sort_by(|a, b| identity(a.0, b.0));
+        net.dedup_by(|later, kept| {
+            let same = identity(later.0, kept.0) == Ordering::Equal;
+            if same {
+                kept.1 += later.1;
             }
-        }
-        push_str(&mut self.scratch, "],\"removed\":[");
-        let mut first = true;
-        for p in &base.people {
-            let key = PersonKey::of(p);
-            if let Some(n) = counts.get_mut(&key) {
-                if *n > 0 {
-                    *n -= 1;
-                    if !first {
-                        self.scratch.push(b',');
-                    }
-                    first = false;
-                    push_person(&mut self.scratch, p);
-                }
-            }
-        }
-        push_str(&mut self.scratch, "]}");
-    }
-}
-
-/// Exact identity of a fused person for delta diffs: bitwise position
-/// and confidence plus the observer set. Fusion is deterministic, so
-/// an unchanged person reproduces these bits across epochs.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct PersonKey {
-    x: u64,
-    y: u64,
-    confidence: u64,
-    observers: Vec<u32>,
-}
-
-impl PersonKey {
-    fn of(p: &FusedPerson) -> PersonKey {
-        PersonKey {
-            x: p.x.to_bits(),
-            y: p.y.to_bits(),
-            confidence: p.confidence.to_bits(),
-            observers: p.observers.clone(),
-        }
+            same
+        });
+        let repeat = |sign: i64| {
+            net.iter()
+                .filter(move |(_, n)| n.signum() == sign)
+                .flat_map(|&(p, n)| std::iter::repeat_n(p, n.unsigned_abs() as usize))
+        };
+        push_str(body, ",\"reset\":false,\"added\":[");
+        push_people(body, repeat(1));
+        push_str(body, "],\"removed\":[");
+        push_people(body, repeat(-1));
+        push_str(body, "]}");
     }
 }
 
@@ -756,6 +832,16 @@ fn push_f64(out: &mut Vec<u8>, v: f64) {
         let _ = write!(out, "{v:.3}");
     } else {
         out.extend_from_slice(b"null");
+    }
+}
+
+/// Comma-separated [`push_person`]s.
+fn push_people<'a>(out: &mut Vec<u8>, people: impl Iterator<Item = &'a FusedPerson>) {
+    for (i, p) in people.enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_person(out, p);
     }
 }
 
@@ -1013,20 +1099,51 @@ mod tests {
         assert!(resp.contains("\"added\":[],\"removed\":[]"));
     }
 
+    /// Each publish moves the campus's one person: two records of
+    /// change against one person current, so every older `since`
+    /// leaves the window at once and answers with a full reset.
     #[test]
     fn delta_outside_window_resets() {
-        let cfg = ServeConfig {
-            retain_epochs: 2,
-            ..ServeConfig::default()
-        };
-        let mut core = ServeCore::new(cfg, ServeMetrics::default());
+        let mut core = ServeCore::new(ServeConfig::default(), ServeMetrics::default());
         for seq in 1..=5u64 {
-            core.on_publish(seq, snap(seq as f64 * 1000.0, vec![person(1.0, 2.0, &[3])]));
+            let x = seq as f64;
+            core.on_publish(seq, snap(x * 1000.0, vec![person(x, 2.0, &[3])]));
         }
+        assert_eq!(core.delta_window().oldest, 5);
         let mut conn = Connection::new();
         let (_, resp) = run(&mut core, &mut conn, "GET /delta?since=1 HTTP/1.1\r\n\r\n");
         assert!(resp.contains("\"reset\":true"));
-        assert!(resp.contains("\"people\":["));
+        assert!(resp.contains("\"people\":[{\"x\":5.000"), "{resp}");
+    }
+
+    /// Publishes that change nothing share one entry, and a skipped
+    /// epoch is never answered with a diff: this core never saw its
+    /// people.
+    #[test]
+    fn no_change_publishes_share_an_entry_and_skipped_epochs_reset() {
+        let mut core = ServeCore::new(ServeConfig::default(), ServeMetrics::default());
+        let people = vec![person(1.0, 2.0, &[3]), person(4.0, 5.0, &[3])];
+        for seq in 1..=50u64 {
+            core.on_publish(seq, snap(seq as f64 * 10.0, people.clone()));
+        }
+        let window = core.delta_window();
+        assert_eq!((window.entries, window.records), (2, 2), "{window:?}");
+        let mut conn = Connection::new();
+        let (_, resp) = run(&mut core, &mut conn, "GET /delta?since=0 HTTP/1.1\r\n\r\n");
+        assert!(resp.contains("\"removed\":[]"), "{resp}");
+        assert_eq!(resp.matches("\"x\":").count(), 2, "{resp}");
+        // Epochs 51 and 52 never reach this core. The stretch after
+        // them counts as one change, which lifts the changes held
+        // since seq 0 to three, past the two people current, so seq 0
+        // leaves the window.
+        core.on_publish(53, snap(530.0, people.clone()));
+        let (_, resp) = run(&mut core, &mut conn, "GET /delta?since=40 HTTP/1.1\r\n\r\n");
+        assert!(resp.contains("\"added\":[],\"removed\":[]"), "{resp}");
+        for since in [0, 51] {
+            let req = format!("GET /delta?since={since} HTTP/1.1\r\n\r\n");
+            let (_, resp) = run(&mut core, &mut conn, &req);
+            assert!(resp.contains("\"reset\":true"), "{resp}");
+        }
     }
 
     #[test]

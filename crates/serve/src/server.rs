@@ -26,59 +26,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use fleet::sys::Waker;
 use fleet::{PublishHook, SnapshotCell};
 use obs::{Registry, TelemetrySnapshot};
-use parking_lot::Mutex;
 
 use crate::core::{ConnStatus, Connection, ServeConfig, ServeCore, ServeMetrics};
 use crate::http::write_error;
-
-/// Wakes the pump out of `poll` when an epoch publishes. The armed
-/// flag keeps the pipe to at most one in-flight byte however many
-/// publishes race a slow tick.
-struct Waker {
-    tx: Mutex<TcpStream>,
-    rx: TcpStream,
-    armed: AtomicBool,
-}
-
-impl Waker {
-    fn new() -> io::Result<Waker> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let tx = TcpStream::connect(listener.local_addr()?)?;
-        let (rx, _) = listener.accept()?;
-        rx.set_nonblocking(true)?;
-        Ok(Waker {
-            tx: Mutex::new(tx),
-            rx,
-            armed: AtomicBool::new(false),
-        })
-    }
-
-    fn wake(&self) {
-        if !self.armed.swap(true, Ordering::AcqRel) {
-            let _ = self.tx.lock().write(&[1]);
-        }
-    }
-
-    /// Swallows the pipe byte(s), then clears the armed flag. Takes
-    /// `&self`: `Read` is implemented for `&TcpStream`, and the pump
-    /// is the only reader.
-    ///
-    /// Order matters: pipe first, flag second. A `wake()` racing
-    /// between the two sees `armed` still true and skips its write —
-    /// safe, because its publish happened before the `store(false)`
-    /// and the `adopt_epoch` that follows this drain observes it. The
-    /// reverse order could consume a byte belonging to a wake that
-    /// already saw `armed == false`, leaving the flag stuck true and
-    /// every future wake silent.
-    fn drain(&self) {
-        let mut sink = [0u8; 16];
-        let mut rx = &self.rx;
-        while matches!(rx.read(&mut sink), Ok(n) if n > 0) {}
-        self.armed.store(false, Ordering::Release);
-    }
-}
 
 /// [`PublishHook`] bridging the aggregator's publish path to the
 /// pump's waker. Fired outside the writer lock, so a wake costs the
@@ -247,7 +200,7 @@ impl Pump {
         let accepting = self.conns.len() < self.cfg.max_conns;
         let mut pfds = Vec::with_capacity(self.conns.len() + 2);
         pfds.push(fleet::sys::PollFd {
-            fd: self.waker.rx.as_raw_fd(),
+            fd: self.waker.fd(),
             events: fleet::sys::POLLIN,
             revents: 0,
         });
@@ -407,24 +360,12 @@ impl Pump {
 
     fn flush_all(&mut self, now: Instant) {
         for c in &mut self.conns {
-            while !c.conn.out.is_empty() {
-                match c.stream.write(&c.conn.out) {
-                    Ok(0) => {
-                        c.status = ConnStatus::Close;
-                        c.conn.out.clear();
-                        break;
-                    }
-                    Ok(n) => {
-                        c.conn.out.drain(..n);
-                        c.last_activity = now;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        c.status = ConnStatus::Close;
-                        c.conn.out.clear();
-                        break;
-                    }
+            match flush(&mut c.conn.out, &mut c.stream) {
+                Ok(0) => {}
+                Ok(_) => c.last_activity = now,
+                Err(_) => {
+                    c.status = ConnStatus::Close;
+                    c.conn.out.clear();
                 }
             }
         }
@@ -441,9 +382,105 @@ impl Pump {
     }
 }
 
+/// Writes as much of `out` as `sink` takes without blocking, then
+/// drops the written prefix with one compaction, and returns how many
+/// bytes went out; an error means the sink is gone. A cursor walks the
+/// buffer between partial writes, so a pipelined reader's backlog
+/// costs one memmove per call, not one per partial write.
+fn flush(out: &mut Vec<u8>, sink: &mut impl Write) -> io::Result<usize> {
+    let mut at = 0;
+    let result = loop {
+        if at == out.len() {
+            break Ok(at);
+        }
+        match sink.write(&out[at..]) {
+            Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => at += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(at),
+            Err(e) => break Err(e),
+        }
+    };
+    out.drain(..at);
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sink that takes at most `chunk` bytes per write and
+    /// `per_call` per flush before it would block, recording where
+    /// each write's slice started.
+    struct Dribble {
+        chunk: usize,
+        per_call: usize,
+        budget: usize,
+        got: Vec<u8>,
+        starts: Vec<*const u8>,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.chunk).min(self.budget);
+            self.budget -= n;
+            self.starts.push(buf.as_ptr());
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A multi-MiB backlog leaves through small partial writes in
+    /// order, and each flush call compacts once: every write inside a
+    /// call starts where the last one ended (the buffer did not move
+    /// under the cursor), and the next call starts at the front of the
+    /// compacted buffer.
+    #[test]
+    fn flush_walks_a_cursor_and_compacts_once_per_call() {
+        let backlog: Vec<u8> = (0..3 * 1024 * 1024u32)
+            .map(|i| (i * 31 % 251) as u8)
+            .collect();
+        let mut out = backlog.clone();
+        let mut sink = Dribble {
+            chunk: 1000,
+            per_call: 64 * 1024,
+            budget: 0,
+            got: Vec::new(),
+            starts: Vec::new(),
+        };
+        let mut calls = 0;
+        while !out.is_empty() {
+            calls += 1;
+            sink.budget = sink.per_call;
+            sink.starts.clear();
+            let front = out.as_ptr();
+            let before = out.len();
+            let wrote = flush(&mut out, &mut sink).expect("the sink stays up");
+            assert_eq!(wrote, before - out.len());
+            assert_eq!(
+                sink.starts[0], front,
+                "a call starts at the compacted front"
+            );
+            let mut offset = 0;
+            for (i, &start) in sink.starts.iter().enumerate() {
+                assert_eq!(
+                    start,
+                    front.wrapping_add(offset),
+                    "write {i} of call {calls}"
+                );
+                offset += sink.chunk.min(before - offset);
+            }
+        }
+        assert_eq!(calls, backlog.len().div_ceil(64 * 1024));
+        assert!(sink.got == backlog, "bytes arrive complete and in order");
+    }
 
     /// A pump holding one accepted connection in the given state; the
     /// returned client stream keeps the peer side alive.
